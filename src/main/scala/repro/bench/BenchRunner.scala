@@ -66,9 +66,11 @@ object BenchRunner {
   }
 
   /** Default benchmark parameters. Deviations from the paper's defaults are
-    * documented in EXPERIMENTS.md: ε=0.2 (paper 0.05) keeps |G_q| below |V|
-    * at lite scale; queries default to 15 (paper 200) for the single-machine
-    * time budget. e=0.02 and 1−α=95% are the paper's defaults.
+    * documented in EXPERIMENTS.md: ε=0.2 (paper 0.05) brings the Hoeffding
+    * minimum |G_q| down to 547–700 nodes at k=6, below |V| on every lite
+    * graph except facebook-lite (n=400, where G_q = G); queries default to 15
+    * (paper 200) for the single-machine time budget. e=0.02 and 1−α=95% are
+    * the paper's defaults.
     */
   final case class Params(
       k: Int = 6,
@@ -91,15 +93,13 @@ object BenchRunner {
 
   /** Distributed maximal structure extraction + collect, timed. */
   private def preStage(prep: Prepared, q: Long, k: Int, truss: Boolean)
-      : (LocalGraph, Double) = {
-    val (mins, rngs) = AttrDistance.numStats(prep.g)
+      : (LocalGraph, Double) =
     Harness.timeMs {
       val ids =
         if (truss) TrussDecomposition.maximalConnectedKTruss(prep.g, q, k)
         else CoreDecomposition.maximalConnectedKCore(prep.g, q, k)
-      CoreDecomposition.collectLocal(prep.g, ids, mins, rngs)
+      CoreDecomposition.collectLocal(prep.g, ids)
     }
-  }
 
   private def deltaOn(prep: Prepared, community: Set[Long], q: Long): Double =
     if (community.isEmpty || community == Set(q)) Double.NaN
@@ -111,8 +111,10 @@ object BenchRunner {
     */
   def evalQuery(prep: Prepared, q: Long, p: Params, methods: Seq[String]): QueryEval = {
     val out = mutable.Map.empty[String, MethodResult]
-    val needCore = methods.exists(m => !m.contains("Truss") || m == "SEA")
-    val needTruss = methods.exists(_.contains("Truss"))
+    // SEA and SEA-Truss find their own structure, so they never need the
+    // family's pre-stage.
+    val coreMethods = Seq("Exact", "ACQ-Core", "LocATC-Core", "VAC-Core", "E-VAC-Core")
+    val trussMethods = Seq("Exact-Truss", "LocATC-Truss", "VAC-Truss")
 
     def localF(lg: LocalGraph): (Int, Array[Double]) = {
       val qi = lg.indexOf(q)
@@ -120,7 +122,7 @@ object BenchRunner {
     }
 
     // ---- k-core family ------------------------------------------------------
-    if (needCore) {
+    if (methods.exists(coreMethods.contains)) {
       val (coreLg, tPre) = preStage(prep, q, p.k, truss = false)
       val model = new CoreModel(p.k)
       if (coreLg.indexOf.contains(q) && coreLg.n >= p.k + 1) {
@@ -154,17 +156,17 @@ object BenchRunner {
           out("E-VAC-Core") = MethodResult(r.community, Double.NaN, tPre + t, r.capped)
         }
       } else {
-        methods.filter(m => Seq("Exact", "ACQ-Core", "LocATC-Core", "VAC-Core", "E-VAC-Core").contains(m))
+        methods.filter(coreMethods.contains)
           .foreach(m => out(m) = MethodResult(Set.empty, Double.NaN, tPre))
       }
-      if (methods.contains("SEA")) {
-        val (r, t) = Harness.timeMs(Sea.run(prep.g, q, seaConfig(p, prep.gamma)))
-        out("SEA") = MethodResult(r.community, Double.NaN, t)
-      }
+    }
+    if (methods.contains("SEA")) {
+      val (r, t) = Harness.timeMs(Sea.run(prep.g, q, seaConfig(p, prep.gamma)))
+      out("SEA") = MethodResult(r.community, Double.NaN, t)
     }
 
     // ---- k-truss family -----------------------------------------------------
-    if (needTruss) {
+    if (methods.exists(trussMethods.contains)) {
       val (trussLg, tPre) = preStage(prep, q, p.k, truss = true)
       val model = new TrussModel(p.k)
       if (trussLg.indexOf.contains(q) && trussLg.n >= p.k) {
@@ -182,14 +184,14 @@ object BenchRunner {
           out("VAC-Truss") = MethodResult(r.community, Double.NaN, tPre + t)
         }
       } else {
-        methods.filter(m => Seq("Exact-Truss", "LocATC-Truss", "VAC-Truss").contains(m))
+        methods.filter(trussMethods.contains)
           .foreach(m => out(m) = MethodResult(Set.empty, Double.NaN, tPre))
       }
-      if (methods.contains("SEA-Truss")) {
-        val (r, t) = Harness.timeMs(
-          Sea.run(prep.g, q, seaConfig(p, prep.gamma, truss = true)))
-        out("SEA-Truss") = MethodResult(r.community, Double.NaN, t)
-      }
+    }
+    if (methods.contains("SEA-Truss")) {
+      val (r, t) = Harness.timeMs(
+        Sea.run(prep.g, q, seaConfig(p, prep.gamma, truss = true)))
+      out("SEA-Truss") = MethodResult(r.community, Double.NaN, t)
     }
 
     // Fill in δ (measured on the full collected graph) for every method.

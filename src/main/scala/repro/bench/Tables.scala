@@ -147,10 +147,9 @@ object Tables {
       val prep = Prepared(name, gen.graph, Harness.collectWhole(gen.graph),
         gen.membership, Datasets.gammaFor(name), gen.graph, gen.circles)
       val queries = pickQueries(prep, p)
-      val (mins, rngs) = AttrDistance.numStats(prep.g)
       val cores = queries.map { q =>
         val ids = CoreDecomposition.maximalConnectedKCore(prep.g, q, p.k)
-        (q, CoreDecomposition.collectLocal(prep.g, ids, mins, rngs))
+        (q, CoreDecomposition.collectLocal(prep.g, ids))
       }.filter { case (q, lg) => lg.indexOf.contains(q) && lg.n >= p.k + 1 }
       configs.foreach { case (label, pruning) =>
         val runs = cores.map { case (q, lg) =>
@@ -231,9 +230,8 @@ object Tables {
     // Size-bounded exact references for the error column: enumeration with a
     // size-acceptance filter (P1-only pruning — P2/P3's proofs assume the
     // unconstrained objective), state-capped as a best-effort ground truth.
-    val (mins, rngs) = AttrDistance.numStats(prep.g)
     val coreIds = CoreDecomposition.maximalConnectedKCore(prep.g, q, p.k)
-    val coreLg = CoreDecomposition.collectLocal(prep.g, coreIds, mins, rngs)
+    val coreLg = CoreDecomposition.collectLocal(prep.g, coreIds)
     val qi = coreLg.indexOf(q)
     val f = Array.tabulate(coreLg.n)(i => coreLg.pairDistance(i, qi, prep.gamma))
     val exactByBound = bounds.map { case (l, h) =>

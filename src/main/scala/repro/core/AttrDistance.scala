@@ -1,6 +1,5 @@
 package repro.core
 
-import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
 import repro.graph.AttributedGraph
 
@@ -13,8 +12,9 @@ import repro.graph.AttributedGraph
   *  - `f^#` is the mean Manhattan distance over min-max normalized (`Z(·)`)
   *    numerical attributes, and `0` when the graph has no numerical dims.
   *
-  * Both a Catalyst (DataFrame) implementation and a driver-side mirror are
-  * provided; tests assert they agree and cross-check against DuckDB SQL.
+  * Distances are computed on the driver over collected, normalized
+  * attributes; only the normalization stats are aggregated on Spark. Tests
+  * cross-check against a Catalyst formulation and DuckDB SQL.
   */
 object AttrDistance {
 
@@ -76,48 +76,6 @@ object AttrDistance {
     var i = 0
     while (i < num.length) { out(i) = (num(i) - mins(i)) / rngs(i); i += 1 }
     out
-  }
-
-  /** Catalyst column computing the composite distance of each node row
-    * (columns `text`, `num`) to the query attributes. Normalization stats are
-    * baked in as literals.
-    */
-  def distanceColumn(
-      qText: Set[String], qNumZ: Array[Double],
-      mins: Array[Double], rngs: Array[Double],
-      gamma: Double,
-  ): Column = {
-    val textD = {
-      val inter = size(array_intersect(array_distinct(col("text")), typedLit(qText.toSeq)))
-      val uni   = size(array_union(array_distinct(col("text")), typedLit(qText.toSeq)))
-      when(uni === 0, lit(0.0)).otherwise(lit(1.0) - inter.cast("double") / uni.cast("double"))
-    }
-    val numD =
-      if (qNumZ.isEmpty) lit(0.0)
-      else {
-        // Z-normalize the row's vector, then mean |z_u - z_q|.
-        val z = zip_with(
-          zip_with(col("num"), typedLit(mins.toSeq), (x, mn) => x - mn),
-          typedLit(rngs.toSeq),
-          (x, rg) => x / rg,
-        )
-        val diffs = zip_with(z, typedLit(qNumZ.toSeq), (a, b) => abs(a - b))
-        aggregate(diffs, lit(0.0), (acc, x) => acc + x) / lit(qNumZ.length.toDouble)
-      }
-    lit(gamma) * textD + lit(1.0 - gamma) * numD
-  }
-
-  /** `(id, f)` for every node of `g`: the composite attribute distance to the
-    * query node `q` (Definition 4's ingredient). Distributed computation.
-    */
-  def distanceToQuery(g: AttributedGraph, q: Long, gamma: Double): DataFrame = {
-    val (mins, rngs) = numStats(g)
-    val qRow = g.nodes.filter(col("id") === q).select("text", "num").collect()
-    require(qRow.nonEmpty, s"query node $q not in graph")
-    val qText = Option(qRow(0).getSeq[String](0)).map(_.toSet).getOrElse(Set.empty[String])
-    val qNum  = Option(qRow(0).getSeq[Double](1)).map(_.toArray).getOrElse(Array.empty[Double])
-    val qNumZ = normalize(qNum, mins, rngs)
-    g.nodes.select(col("id"), distanceColumn(qText, qNumZ, mins, rngs, gamma).as("f"))
   }
 
   /** δ(H) over a set of distances-to-q (q itself excluded by the caller). */

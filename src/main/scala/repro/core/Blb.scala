@@ -1,7 +1,5 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
 import scala.util.Random
 
 /** Bag of Little Bootstraps estimation of the Margin of Error of
@@ -56,53 +54,6 @@ object Blb {
       z * Stats.stddev(resampleMeans)
     }
     Estimate(deltaStar, moes.sum / s, s * b)
-  }
-
-  /** DataFrame-based BLB: the same estimator expressed as a single Spark
-    * aggregation. Rows are assigned to subsamples by a random shuffle; each
-    * (subsample, resample) pair weights every row by an inverse-transform
-    * Poisson(N/b) draw — the standard Poissonized bootstrap, whose resample
-    * size is N in expectation.
-    */
-  def estimateDF(fDf: DataFrame, alpha: Double, m: Double, r: Int, seed: Long): Estimate = {
-    val nTotal = fDf.count().toInt
-    val z = Stats.zCritical(alpha)
-    if (nTotal < 4) {
-      val row = fDf.agg(avg("f").as("mu"), coalesce(stddev("f"), lit(0.0)).as("sd")).collect()(0)
-      val sigma = row.getDouble(1) / math.sqrt(math.max(nTotal, 1).toDouble)
-      return Estimate(row.getDouble(0), z * sigma, nTotal)
-    }
-    val (b, s) = subsamplePlan(nTotal, m)
-    val lambda = nTotal.toDouble / b
-    val poisson = udf { (u: Double) =>
-      // Inverse-transform sampling of Poisson(lambda); lambda is modest here.
-      var p = math.exp(-lambda)
-      var cdf = p
-      var k = 0
-      while (u > cdf && k < 10 * lambda + 50) {
-        k += 1
-        p = p * lambda / k
-        cdf += p
-      }
-      k
-    }
-    val deltaStar = fDf.agg(avg("f")).collect()(0).getDouble(0)
-    val assigned = fDf
-      .withColumn("rk", row_number().over(
-        org.apache.spark.sql.expressions.Window.orderBy(rand(seed))))
-      .withColumn("ss", pmod(col("rk"), lit(s)))
-      .filter(col("rk") <= s * b) // drop the remainder so every subsample has b rows
-      .withColumn("res", explode(sequence(lit(1), lit(r))))
-      .withColumn("w", poisson(rand(seed + 1)))
-    val resMeans = assigned
-      .groupBy("ss", "res")
-      .agg((sum(col("w") * col("f")) / greatest(sum(col("w")), lit(1L))).as("dstar"))
-    val moe = resMeans
-      .groupBy("ss")
-      .agg(coalesce(stddev("dstar"), lit(0.0)).as("sd"))
-      .agg(avg(col("sd") * z))
-      .collect()(0).getDouble(0)
-    Estimate(deltaStar, moe, s * b)
   }
 
   /** Theorem 11's MoE threshold: the guarantee `|δ*−δ|/δ ≤ e` holds (w.p.

@@ -141,8 +141,7 @@ object ExactCSAG {
   ): Result = {
     val t0 = System.nanoTime()
     val ids = CoreDecomposition.maximalConnectedKCore(g, q, k)
-    val (mins, rngs) = AttrDistance.numStats(g)
-    val lg = CoreDecomposition.collectLocal(g, ids, mins, rngs)
+    val lg = CoreDecomposition.collectLocal(g, ids)
     if (!lg.indexOf.contains(q))
       return Result(Set.empty, Double.NaN, 0L, capped = false,
         (System.nanoTime() - t0) / 1e6)

@@ -1,46 +1,34 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
+import scala.collection.mutable
+import scala.util.Random
 
 /** Attribute-aware sampling (§V-A): nodes are drawn with probability
   * `P_s(v) ∝ 1 − f(v,q)` (Eq. 5). Fixed-size weighted sampling without
-  * replacement is realized with the Efraimidis–Spirakis A-Res scheme as a
-  * single DataFrame expression: key `rand^{1/w}`, take the top-|S| keys.
+  * replacement is the Efraimidis–Spirakis A-Res scheme (IPL 2006): key each
+  * candidate `u^{1/w}` with `u ~ U(0,1)` and keep the largest keys. It runs
+  * on the driver over `G_q`'s local indices; `f(i)` is node `i`'s distance
+  * to the query. Weights are clamped to ≥ 1e-6 so f = 1 nodes stay
+  * sampleable.
   */
 object Sampling {
 
-  /** Draw `size` node ids from `fDf` (`id`, `f`), always including `q`.
-    * Weights are clamped to ≥ 1e-6 so f = 1 nodes stay sampleable.
-    */
-  def weightedSample(fDf: DataFrame, q: Long, size: Int, seed: Long): DataFrame = {
-    val spark = fDf.sparkSession
-    import spark.implicits._
-    val qDf = Seq(q).toDF("id")
-    if (size <= 1) return qDf
-    val w = greatest(lit(1.0) - col("f"), lit(1e-6))
-    val keyed = fDf
-      .filter(col("id") =!= q)
-      .withColumn("ares", pow(rand(seed), lit(1.0) / w))
-    keyed
-      .orderBy(col("ares").desc, col("id").asc)
-      .limit(size - 1)
-      .select("id")
-      .union(qDf)
-  }
+  /** Initial sample of `size` local indices, always including `q`. */
+  def weightedSample(f: Array[Double], q: Int, size: Int, seed: Long): mutable.BitSet =
+    mutable.BitSet(q) ++= weightedSampleMore(f, Set(q), size - 1, seed)
 
-  /** Incremental sampling (§V-C): draw `size` more ids from `fDf` excluding
-    * the already-sampled `exclude` set.
+  /** Incremental sampling (§V-C): draw up to `size` more indices, never
+    * from `exclude`; capped by the remaining population.
     */
   def weightedSampleMore(
-      fDf: DataFrame, exclude: DataFrame, size: Int, seed: Long,
-  ): DataFrame = {
-    val remaining = fDf.join(exclude.select("id"), Seq("id"), "left_anti")
-    val w = greatest(lit(1.0) - col("f"), lit(1e-6))
-    remaining
-      .withColumn("ares", pow(rand(seed), lit(1.0) / w))
-      .orderBy(col("ares").desc, col("id").asc)
-      .limit(size)
-      .select("id")
+      f: Array[Double], exclude: collection.Set[Int], size: Int, seed: Long,
+  ): Array[Int] = {
+    val rnd = new Random(seed)
+    // log(u)/w ranks candidates exactly as u^{1/w} does, without the
+    // underflow to 0 that u^{1e6} would give every f = 1 node.
+    val keyed = f.indices.filterNot(exclude).map { i =>
+      (math.log(rnd.nextDouble()) / math.max(1.0 - f(i), 1e-6), i)
+    }
+    keyed.sortBy { case (key, i) => (-key, i) }.take(math.max(size, 0)).map(_._2).toArray
   }
 }

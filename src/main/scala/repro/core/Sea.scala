@@ -1,7 +1,5 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
 import scala.collection.mutable
 import repro.graph._
 
@@ -38,7 +36,6 @@ object Sea {
       maxRounds: Int = 5,      // N_e cap
       sizeBound: Option[(Int, Int)] = None,
       truss: Boolean = false,
-      dfBlbThreshold: Int = 5000, // use the DataFrame BLB path above this size
       seed: Long = 42,
   )
 
@@ -73,31 +70,23 @@ object Sea {
 
     val model: CohesionModel =
       if (cfg.truss) new TrussModel(cfg.k) else new CoreModel(cfg.k)
-    val (mins, rngs) = AttrDistance.numStats(g)
-    val fDf = AttrDistance.distanceToQuery(g, q, cfg.gamma).localCheckpoint(true)
     val n = g.nodeCount
 
     // --- Step 1: population sizing + G_q + initial sample -----------------
     val minNodes = cfg.sizeBound.map(_._1.toLong)
       .getOrElse(model.minCommunitySize.toLong)
     val minGq = Hoeffding.minGqSize(n, minNodes, cfg.eps, cfg.beta)
-    val gqIds = PriorityBfs.collectGq(g, fDf, q, minGq).localCheckpoint(true)
-    val fGq = fDf.join(gqIds, Seq("id"), "left_semi").localCheckpoint(true)
-    val gqSize = gqIds.count()
-
-    // G_q is Hoeffding-bounded and small by construction — collect its
-    // induced subgraph once; the per-round candidate maintenance runs on the
-    // collected mirror while the sampling draws stay on DataFrames.
-    val gqLocal = CoreDecomposition.collectLocal(g, gqIds, mins, rngs)
-    val qIdx = gqLocal.indexOf(q)
-    val fLoc = Array.tabulate(gqLocal.n)(i => gqLocal.pairDistance(i, qIdx, cfg.gamma))
+    // G_q is Hoeffding-bounded and small by construction: the BFS returns it
+    // collected, and sampling, estimation and the greedy peel run on the
+    // driver from here on.
+    val lg = PriorityBfs.collectGq(g, q, minGq, cfg.gamma)
+    val qIdx = lg.indexOf(q)
+    val fLoc = Array.tabulate(lg.n)(i => lg.pairDistance(i, qIdx, cfg.gamma))
+    val gqSize = lg.n.toLong
 
     val initial = math.max((cfg.lambda * gqSize).toLong, model.minCommunitySize * 3L)
       .min(gqSize).toInt
-    var sampleIds = Sampling.weightedSample(fGq, q, initial, cfg.seed)
-      .localCheckpoint(true)
-    var sampleSet: Set[Long] = sampleIds.collect().map(_.getLong(0)).toSet
-    var sampleSize: Long = sampleSet.size.toLong
+    val sample = Sampling.weightedSample(fLoc, qIdx, initial, cfg.seed)
 
     // --- Steps 2-3: estimate, greedy-search, incrementally resample -------
     val rounds = mutable.ArrayBuffer.empty[Round]
@@ -115,20 +104,13 @@ object Sea {
     while (!done && round < cfg.maxRounds) {
       round += 1
       val tRound = System.nanoTime()
-      val lg = gqLocal
-      val alive = mutable.BitSet((0 until lg.n).filter(i => sampleSet(lg.ids(i))): _*)
 
-      var cur = model.maximal(lg, alive, qIdx)
+      var cur = model.maximal(lg, sample, qIdx)
       var roundBest: Option[Blb.Estimate] = None
 
       def estimateOf(alive: mutable.BitSet): Blb.Estimate = {
         val fv = alive.iterator.filter(_ != qIdx).map(fLoc).toArray
-        if (fv.length >= cfg.dfBlbThreshold) {
-          val spark = g.spark
-          import spark.implicits._
-          Blb.estimateDF(fv.toSeq.toDF("f"), cfg.alpha, cfg.blbM, cfg.blbR,
-            cfg.seed + round)
-        } else Blb.estimate(fv, cfg.alpha, cfg.blbM, cfg.blbR, cfg.seed + round)
+        Blb.estimate(fv, cfg.alpha, cfg.blbM, cfg.blbR, cfg.seed + round)
       }
 
       // Greedy candidate search (§V-B): peel the most dissimilar node.
@@ -172,19 +154,16 @@ object Sea {
         val delta = roundBest match {
           case Some(est) =>
             math.max(Blb.deltaSampleSize(est.moe, est.deltaStar, cfg.e, cfg.blbM, est.sBlb), 16L)
-          case None => math.max(sampleSize, 16L) // no structure found — double S
+          case None => math.max(sample.size.toLong, 16L) // no structure found — double S
         }
-        val addable = math.min(delta, gqSize - sampleSize)
+        val addable = math.min(delta, gqSize - sample.size)
         if (addable <= 0) {
           rounds += Round(round, roundBest.map(_.deltaStar).getOrElse(Double.NaN),
             roundBest.map(_.moe).getOrElse(Double.NaN), 0L, ms(tRound))
           done = true // sampling exhausted; return best effort
         } else {
-          val extra = Sampling.weightedSampleMore(fGq, sampleIds, addable.toInt,
+          sample ++= Sampling.weightedSampleMore(fLoc, sample, addable.toInt,
             cfg.seed + 1000 + round)
-          sampleIds = sampleIds.union(extra).distinct().localCheckpoint(true)
-          sampleSet = sampleIds.collect().map(_.getLong(0)).toSet
-          sampleSize = sampleSet.size.toLong
           rounds += Round(round, roundBest.map(_.deltaStar).getOrElse(Double.NaN),
             roundBest.map(_.moe).getOrElse(Double.NaN), addable, ms(tRound))
         }
@@ -194,6 +173,6 @@ object Sea {
     val converged = bestCommunity.nonEmpty && !bestMoe.isNaN &&
       bestMoe <= Blb.accuracyBound(bestDelta, cfg.e)
     Result(bestCommunity, bestDelta, bestMoe, converged, rounds.toSeq,
-      gqSize, sampleSize, ms(t0))
+      gqSize, sample.size.toLong, ms(t0))
   }
 }

@@ -1,8 +1,7 @@
 package repro.eval
 
 import scala.util.Random
-import repro.core.AttrDistance
-import repro.graph.{AttributedGraph, CoreDecomposition, LocalGraph}
+import repro.graph.{AttributedGraph, LocalGraph}
 
 /** Shared evaluation plumbing: query generation (the paper draws random
   * query nodes, §VII-A) and timing helpers.
@@ -29,10 +28,9 @@ object Harness {
   /** Collect the whole (small) graph into a LocalGraph with normalized
     * numerical attributes — the driver-side mirror benches score against.
     */
-  def collectWhole(g: AttributedGraph): LocalGraph = {
-    val (mins, rngs) = AttrDistance.numStats(g)
-    CoreDecomposition.collectLocal(g, g.nodes.select("id"), mins, rngs)
-  }
+  def collectWhole(g: AttributedGraph): LocalGraph =
+    LocalGraph.build(g.nodes.collect().map(g.localNode).toSeq,
+      g.edges.collect().map(AttributedGraph.edgePair).toSeq)
 
   def mean(xs: Seq[Double]): Double = if (xs.isEmpty) 0.0 else xs.sum / xs.size
 }

@@ -1,7 +1,9 @@
 package repro.graph
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.rdd.RDD
+import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.functions._
+import repro.core.AttrDistance
 
 /** An attributed graph per Definition 1 of the paper, held as two DataFrames.
   *
@@ -22,12 +24,33 @@ final case class AttributedGraph(nodes: DataFrame, edges: DataFrame) {
     edges.select(col("src"), col("dst"))
       .union(edges.select(col("dst").as("src"), col("src").as("dst")))
 
+  /** [[symmetricEdges]] as `(src, dst)` pairs, planned once per graph:
+    * traversals that issue one small job per step skip Catalyst planning.
+    */
+  lazy val adjacencyRdd: RDD[(Long, Long)] = symmetricEdges.rdd.map(AttributedGraph.edgePair)
+
   /** Per-node degree; nodes with no incident edge are absent (degree 0). */
   def degrees: DataFrame =
     symmetricEdges.groupBy(col("src").as("id")).agg(count(lit(1)).as("degree"))
 
-  def nodeCount: Long = nodes.count()
+  /** `|V|`, counted once per graph. */
+  lazy val nodeCount: Long = nodes.count()
   def edgeCount: Long = edges.count()
+
+  /** Per-dimension `(min, range)` of the numerical attributes (`Z(·)`'s
+    * stats), computed once per graph.
+    */
+  lazy val numStats: (Array[Double], Array[Double]) = AttrDistance.numStats(this)
+
+  /** `(id, A^t(v), Z(A^#(v)))` of a collected `nodes` row, normalized with
+    * this graph's stats — the node shape [[LocalGraph.build]] takes.
+    */
+  def localNode(r: Row): (Long, Set[String], Array[Double]) = {
+    val (mins, rngs) = numStats
+    val t = Option(r.getSeq[String](r.fieldIndex("text"))).map(_.toSet).getOrElse(Set.empty[String])
+    val nm = Option(r.getSeq[Double](r.fieldIndex("num"))).map(_.toArray).getOrElse(Array.empty[Double])
+    (r.getAs[Long]("id"), t, AttrDistance.normalize(nm, mins, rngs))
+  }
 
   /** Subgraph induced by a set of node ids (`ids` must have column `id`). */
   def induced(ids: DataFrame): AttributedGraph = {
@@ -51,6 +74,9 @@ final case class AttributedGraph(nodes: DataFrame, edges: DataFrame) {
 }
 
 object AttributedGraph {
+
+  /** `(src, dst)` of a collected `edges` or [[AttributedGraph.symmetricEdges]] row. */
+  def edgePair(r: Row): (Long, Long) = (r.getAs[Long]("src"), r.getAs[Long]("dst"))
 
   /** Build from driver-side rows; canonicalizes edge orientation and drops
     * self loops / duplicates. Intended for tests and synthetic generators.

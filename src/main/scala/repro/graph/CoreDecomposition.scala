@@ -133,20 +133,9 @@ object CoreDecomposition {
   /** Collect the subgraph induced by `ids` into a driver-side [[LocalGraph]],
     * with numerical attributes normalized by the whole graph's `Z(·)` stats.
     */
-  def collectLocal(
-      g: AttributedGraph,
-      ids: DataFrame,
-      mins: Array[Double],
-      rngs: Array[Double],
-  ): LocalGraph = {
+  def collectLocal(g: AttributedGraph, ids: DataFrame): LocalGraph = {
     val sub = g.induced(ids)
-    val nodeRows = sub.nodes.select("id", "text", "num").collect().map { r =>
-      val t = Option(r.getSeq[String](1)).map(_.toSet).getOrElse(Set.empty[String])
-      val nm = Option(r.getSeq[Double](2)).map(_.toArray).getOrElse(Array.empty[Double])
-      (r.getLong(0), t, repro.core.AttrDistance.normalize(nm, mins, rngs))
-    }.toSeq
-    val edgeRows = sub.edges.select("src", "dst").collect()
-      .map(r => (r.getLong(0), r.getLong(1))).toSeq
-    LocalGraph.build(nodeRows, edgeRows)
+    LocalGraph.build(sub.nodes.collect().map(g.localNode).toSeq,
+      sub.edges.collect().map(AttributedGraph.edgePair).toSeq)
   }
 }

@@ -1,54 +1,66 @@
 package repro.graph
 
-import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
+import scala.collection.mutable
+import repro.core.AttrDistance
 
 /** Attribute-prioritized BFS (§V-A): starting from `q`, expand layer by
   * layer until at least `minSize` nodes are discovered; the final layer is
   * trimmed to the nodes with the smallest composite distance `f(·,q)`, which
   * realizes the paper's "preferentially expand from nodes having smaller
-  * composite attribute distances" at dataflow granularity (whole-frontier
+  * composite attribute distances" at layer granularity (whole-frontier
   * rounds instead of one-node-at-a-time expansion).
+  *
+  * `|G_q|` is Hoeffding-bounded (Theorem 10), so the visited set lives on
+  * the driver and each layer costs one filter job over the symmetric edges,
+  * with the frontier shipped to the tasks as a set.
   */
 object PriorityBfs {
 
-  /** Node ids (`id`) of the neighborhood `G_q`. If fewer than `minSize`
-    * nodes are reachable from `q`, all reachable nodes are returned.
+  /** The neighborhood `G_q` as a driver-side [[LocalGraph]]: its nodes with
+    * attributes normalized by the whole graph's stats, and every edge of `G`
+    * between two of them. Nodes are ordered layer by layer, by id within a
+    * layer, so `q` has index 0. If fewer than `minSize` nodes are reachable
+    * from `q`, all reachable nodes are returned.
+    *
+    * Spark jobs: one per expanded layer, one attribute fetch, and one fetch
+    * of the edges inside the last, unexpanded layer.
     */
-  def collectGq(g: AttributedGraph, fDf: DataFrame, q: Long, minSize: Long): DataFrame = {
-    val spark = g.spark
-    import spark.implicits._
-    val sym = g.symmetricEdges.localCheckpoint(true)
-    val f = fDf.select("id", "f").localCheckpoint(true)
-    var visited = Seq(q).toDF("id").localCheckpoint(true)
-    var visitedCount = 1L
-    var frontier = visited
-    var done = visitedCount >= minSize
-    while (!done) {
-      val next = sym
-        .join(frontier.withColumnRenamed("id", "src"), Seq("src"), "left_semi")
-        .select(col("dst").as("id")).distinct()
-        .join(visited, Seq("id"), "left_anti")
-        .localCheckpoint(true)
-      val nextCount = next.count()
-      if (nextCount == 0) done = true
-      else if (visitedCount + nextCount <= minSize) {
-        visited = visited.union(next).localCheckpoint(true)
-        visitedCount += nextCount
-        frontier = next
-        done = visitedCount >= minSize
-      } else {
-        // Overshooting layer: keep only the lowest-f portion that fills G_q.
-        val need = (minSize - visitedCount).toInt
-        val trimmed = next.join(f, Seq("id"))
-          .orderBy(col("f").asc, col("id").asc)
-          .limit(need)
-          .select("id")
-        visited = visited.union(trimmed).localCheckpoint(true)
-        visitedCount = minSize
-        done = true
-      }
+  def collectGq(g: AttributedGraph, q: Long, minSize: Long, gamma: Double): LocalGraph = {
+    val visited = mutable.LinkedHashSet(q)
+    val edges = mutable.ArrayBuffer.empty[(Long, Long)]
+    var layer: Seq[Long] = Seq(q) // newest layer, not yet expanded
+    var overshoot: Seq[Long] = Nil
+    while (visited.size < minSize && layer.nonEmpty && overshoot.isEmpty) {
+      val frontier = layer.toSet
+      val out = g.adjacencyRdd.filter(e => frontier(e._1)).collect()
+      edges ++= out
+      val next = out.iterator.map(_._2).filterNot(visited).toSeq.distinct.sorted
+      if (visited.size + next.size <= minSize) {
+        visited ++= next
+        layer = next
+      } else overshoot = next
     }
-    visited
+
+    val rows = g.nodes.filter(col("id").isin((visited ++ overshoot).toSeq: _*)).collect()
+      .map(g.localNode).map(v => v._1 -> v).toMap
+    require(rows.contains(q), s"query node $q not in graph")
+    if (overshoot.nonEmpty) {
+      // Overshooting layer: keep only the lowest-f portion that fills G_q.
+      val (_, qText, qNum) = rows(q)
+      def f(v: Long): Double = {
+        val (_, t, nm) = rows(v)
+        AttrDistance.composite(t, nm, qText, qNum, gamma)
+      }
+      layer = overshoot.sortBy(v => (f(v), v)).take((minSize - visited.size).toInt)
+      visited ++= layer
+    }
+    // Expanding a layer revealed its edges to earlier layers and to the next
+    // one, never those inside the last layer that stayed unexpanded.
+    if (layer.size > 1) {
+      val last = layer.toSet
+      edges ++= g.adjacencyRdd.filter(e => last(e._1) && last(e._2)).collect()
+    }
+    LocalGraph.build(visited.toSeq.map(rows), edges.toSeq)
   }
 }

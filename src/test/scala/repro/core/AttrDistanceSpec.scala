@@ -140,7 +140,7 @@ class AttrDistanceSpec extends SparkSpec {
     val g = TestGraphs.toAttributed(spark, lg)
     val (mins, rngs) = AttrDistance.numStats(g)
     val gamma = 0.4
-    val fMap = AttrDistance.distanceToQuery(g, 3L, gamma)
+    val fMap = DistanceColumn.distanceToQuery(g, 3L, gamma)
       .collect().map(r => r.getLong(0) -> r.getDouble(1)).toMap
     val qz = AttrDistance.normalize(lg.num(3), mins, rngs)
     (0 until lg.n).foreach { i =>
@@ -153,7 +153,7 @@ class AttrDistanceSpec extends SparkSpec {
   test("distanceToQuery: f(q,q) = 0") {
     val lg = TestGraphs.randomLocal(10, 0.4, seed = 9)
     val g = TestGraphs.toAttributed(spark, lg)
-    val f = AttrDistance.distanceToQuery(g, 2L, 0.5)
+    val f = DistanceColumn.distanceToQuery(g, 2L, 0.5)
       .filter("id = 2").collect()(0).getDouble(1)
     assert(math.abs(f) < 1e-12)
   }
@@ -162,7 +162,7 @@ class AttrDistanceSpec extends SparkSpec {
     val lg = TestGraphs.randomLocal(5, 0.5, seed = 1)
     val g = TestGraphs.toAttributed(spark, lg)
     assertThrows[IllegalArgumentException] {
-      AttrDistance.distanceToQuery(g, 999L, 0.5)
+      DistanceColumn.distanceToQuery(g, 999L, 0.5)
     }
   }
 
@@ -174,7 +174,7 @@ class AttrDistanceSpec extends SparkSpec {
     // ensure every node has at least one tag (SQL formulation needs it)
     val nodes = (0 until lg.n).map(i => (i.toLong, (lg.text(i) + "common").toSeq.sorted, Seq.empty[Double]))
     val g = AttributedGraph.homogeneous(spark, nodes, Seq((0L, 1L)))
-    val sparkDf = AttrDistance.distanceToQuery(g, 0L, gamma = 1.0)
+    val sparkDf = DistanceColumn.distanceToQuery(g, 0L, gamma = 1.0)
     val nt = nodes.flatMap { case (id, tags, _) => tags.map(t => (id, t)) }.toDF("id", "attr")
     val qt = nodes.find(_._1 == 0L).get._2.map(Tuple1(_)).toDF("attr")
     val sql =
@@ -192,7 +192,7 @@ class AttrDistanceSpec extends SparkSpec {
     import spark.implicits._
     val lg = TestGraphs.randomLocal(12, 0.3, seed = 33, tagPool = 0, dims = 3)
     val g = TestGraphs.toAttributed(spark, lg)
-    val sparkDf = AttrDistance.distanceToQuery(g, 0L, gamma = 0.0)
+    val sparkDf = DistanceColumn.distanceToQuery(g, 0L, gamma = 0.0)
     val nn = (0 until lg.n).flatMap(i => lg.num(i).zipWithIndex.map { case (x, d) => (i.toLong, d, x) })
       .toDF("id", "dim", "x")
     val sql =
@@ -214,7 +214,7 @@ class AttrDistanceSpec extends SparkSpec {
     import spark.implicits._
     val lg = TestGraphs.randomLocal(15, 0.3, seed = 44)
     val g = TestGraphs.toAttributed(spark, lg)
-    val fDf = AttrDistance.distanceToQuery(g, 1L, 0.5)
+    val fDf = DistanceColumn.distanceToQuery(g, 1L, 0.5)
     val members = Seq(1L, 3L, 4L, 7L, 9L).toDF("id")
     val sparkDelta = fDf.join(members, Seq("id")).filter("id <> 1")
       .agg(org.apache.spark.sql.functions.avg("f").as("delta"))

@@ -1,9 +1,9 @@
 package repro.core
 
+import org.scalatest.funsuite.AnyFunSuite
 import scala.util.Random
-import repro.SparkSpec
 
-class BlbSpec extends SparkSpec {
+class BlbSpec extends AnyFunSuite {
 
   private def gaussianSample(n: Int, mu: Double, sd: Double, seed: Long): Array[Double] = {
     val rnd = new Random(seed)
@@ -89,25 +89,6 @@ class BlbSpec extends SparkSpec {
     }
     // 95% nominal; BLB on 400 points is noisy — require a clear majority.
     assert(covered >= 30, s"covered=$covered/40")
-  }
-
-  // ---- DataFrame BLB -------------------------------------------------------
-
-  test("estimateDF: agrees with local BLB within a small factor") {
-    import spark.implicits._
-    val xs = gaussianSample(1000, 0.5, 0.1, 21)
-    val local = Blb.estimate(xs, 0.05, 0.6, 60, seed = 3)
-    val df = Blb.estimateDF(xs.toSeq.toDF("f"), 0.05, 0.6, 60, seed = 3)
-    assert(math.abs(df.deltaStar - local.deltaStar) < 1e-9)
-    assert(df.moe > local.moe / 3 && df.moe < local.moe * 3,
-      s"df=${df.moe} local=${local.moe}")
-  }
-
-  test("estimateDF: tiny input falls back to CLT") {
-    import spark.implicits._
-    val est = Blb.estimateDF(Seq(0.1, 0.3).toDF("f"), 0.05, 0.6, 50, seed = 9)
-    val expected = Stats.zCritical(0.05) * Stats.stddev(Array(0.1, 0.3)) / math.sqrt(2.0)
-    assert(math.abs(est.moe - expected) < 1e-9)
   }
 
   // ---- Theorem 11 ----------------------------------------------------------

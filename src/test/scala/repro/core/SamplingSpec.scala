@@ -1,52 +1,48 @@
 package repro.core
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 
-class SamplingSpec extends SparkSpec {
-  import spark.implicits._
-
-  private def fDf(fs: Seq[(Long, Double)]) = fs.toDF("id", "f")
+class SamplingSpec extends AnyFunSuite {
 
   test("weightedSample: q is always included") {
-    val df = fDf((0L to 20L).map(i => i -> 0.5))
+    val f = Array.fill(21)(0.5)
     (1 to 5).foreach { s =>
-      val ids = Sampling.weightedSample(df, 7L, 5, seed = s).collect().map(_.getLong(0)).toSet
-      assert(ids.contains(7L), s"seed=$s")
+      val ids = Sampling.weightedSample(f, 7, 5, seed = s)
+      assert(ids.contains(7), s"seed=$s")
       assert(ids.size === 5)
     }
   }
 
   test("weightedSample: size larger than population returns everything") {
-    val df = fDf(Seq(0L -> 0.1, 1L -> 0.2, 2L -> 0.3))
-    val ids = Sampling.weightedSample(df, 0L, 10, seed = 1).collect().map(_.getLong(0)).toSet
-    assert(ids === Set(0L, 1L, 2L))
+    val ids = Sampling.weightedSample(Array(0.1, 0.2, 0.3), 0, 10, seed = 1)
+    assert(ids.toSet === Set(0, 1, 2))
   }
 
   test("weightedSample: size 1 returns just q") {
-    val df = fDf(Seq(0L -> 0.1, 1L -> 0.2))
-    val ids = Sampling.weightedSample(df, 1L, 1, seed = 1).collect().map(_.getLong(0)).toSet
-    assert(ids === Set(1L))
+    assert(Sampling.weightedSample(Array(0.1, 0.2), 1, 1, seed = 1).toSet === Set(1))
   }
 
   test("weightedSample: no duplicates") {
-    val df = fDf((0L to 50L).map(i => i -> (i.toDouble / 60)))
-    val ids = Sampling.weightedSample(df, 0L, 20, seed = 3).collect().map(_.getLong(0))
-    assert(ids.length === ids.distinct.length)
+    // Draws come back as an array, so duplicates would show as a short set.
+    val f = Array.tabulate(51)(_.toDouble / 60)
+    val more = Sampling.weightedSampleMore(f, Set(0), 19, seed = 3)
+    assert(more.length === 19)
+    assert(more.distinct.length === more.length)
   }
 
   test("weightedSample: deterministic in the seed") {
-    val df = fDf((0L to 50L).map(i => i -> (i.toDouble / 60)))
-    val a = Sampling.weightedSample(df, 0L, 10, seed = 9).collect().map(_.getLong(0)).toSet
-    val b = Sampling.weightedSample(df, 0L, 10, seed = 9).collect().map(_.getLong(0)).toSet
+    val f = Array.tabulate(51)(_.toDouble / 60)
+    val a = Sampling.weightedSample(f, 0, 10, seed = 9)
+    val b = Sampling.weightedSample(f, 0, 10, seed = 9)
     assert(a === b)
   }
 
   test("weightedSample: low-f (similar) nodes are sampled far more often") {
-    // group A: f=0.05 (w=0.95), group B: f=0.95 (w=0.05)
-    val df = fDf((1L to 40L).map(i => i -> (if (i <= 20) 0.05 else 0.95)) :+ (0L -> 0.0))
+    // group A (1..20): f=0.05 (w=0.95), group B (21..40): f=0.95 (w=0.05)
+    val f = Array.tabulate(41)(i => if (i == 0) 0.0 else if (i <= 20) 0.05 else 0.95)
     var aCount = 0; var bCount = 0
     (1 to 20).foreach { s =>
-      val ids = Sampling.weightedSample(df, 0L, 11, seed = s).collect().map(_.getLong(0))
+      val ids = Sampling.weightedSample(f, 0, 11, seed = s)
       aCount += ids.count(i => i >= 1 && i <= 20)
       bCount += ids.count(_ > 20)
     }
@@ -54,25 +50,20 @@ class SamplingSpec extends SparkSpec {
   }
 
   test("weightedSample: handles f=1 (zero weight) without failing") {
-    val df = fDf(Seq(0L -> 0.0, 1L -> 1.0, 2L -> 1.0))
-    val ids = Sampling.weightedSample(df, 0L, 3, seed = 1).collect().map(_.getLong(0)).toSet
-    assert(ids === Set(0L, 1L, 2L))
+    assert(Sampling.weightedSample(Array(0.0, 1.0, 1.0), 0, 3, seed = 1).toSet === Set(0, 1, 2))
   }
 
   test("weightedSampleMore: excludes already-sampled ids") {
-    val df = fDf((0L to 30L).map(i => i -> 0.3))
-    val first = Sampling.weightedSample(df, 0L, 10, seed = 4)
-    val firstSet = first.collect().map(_.getLong(0)).toSet
-    val more = Sampling.weightedSampleMore(df, first, 10, seed = 5)
-      .collect().map(_.getLong(0)).toSet
-    assert(more.intersect(firstSet).isEmpty)
-    assert(more.size === 10)
+    val f = Array.fill(31)(0.3)
+    val first = Sampling.weightedSample(f, 0, 10, seed = 4)
+    val more = Sampling.weightedSampleMore(f, first, 10, seed = 5)
+    assert(more.toSet.intersect(first).isEmpty)
+    assert(more.length === 10)
   }
 
   test("weightedSampleMore: capped by the remaining population") {
-    val df = fDf((0L to 5L).map(i => i -> 0.3))
-    val first = Sampling.weightedSample(df, 0L, 4, seed = 6)
-    val more = Sampling.weightedSampleMore(df, first, 10, seed = 7).collect()
-    assert(more.length === 2)
+    val f = Array.fill(6)(0.3)
+    val first = Sampling.weightedSample(f, 0, 4, seed = 6)
+    assert(Sampling.weightedSampleMore(f, first, 10, seed = 7).length === 2)
   }
 }

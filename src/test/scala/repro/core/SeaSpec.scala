@@ -48,9 +48,12 @@ class SeaSpec extends SparkSpec {
   }
 
   test("SEA converged runs satisfy Theorem 11's bound on the MoE") {
-    val r = Sea.run(planted.graph, 40L, baseCfg)
-    if (r.converged) {
-      assert(r.moe <= Blb.accuracyBound(r.deltaStar, baseCfg.e) + 1e-12)
+    // At e = 0.25 the bound δ*·e/(1+e) is loose enough for the planted
+    // communities to converge, so the MoE check below is never skipped.
+    Seq(40L, 70L, 10L).foreach { q =>
+      val r = Sea.run(planted.graph, q, baseCfg.copy(e = 0.25))
+      assert(r.converged, s"q=$q did not converge (moe=${r.moe}, delta*=${r.deltaStar})")
+      assert(r.moe <= Blb.accuracyBound(r.deltaStar, 0.25) + 1e-12, s"q=$q")
     }
   }
 
@@ -131,10 +134,6 @@ class SeaSpec extends SparkSpec {
     assert(Metrics.f1(r.community, hetero.groundTruthOf(30L)) > 0.4)
   }
 
-  test("SEA DataFrame BLB path is exercised when above the threshold") {
-    val r = Sea.run(planted.graph, 40L, baseCfg.copy(dfBlbThreshold = 2))
-    assert(r.found) // same pipeline, estimation via Blb.estimateDF
-  }
 
   test("SEA on a graph where q has no k-core returns empty") {
     val lg = TestGraphs.local(6, Seq((0, 1), (1, 2), (2, 3), (3, 4), (4, 5)))
@@ -142,5 +141,19 @@ class SeaSpec extends SparkSpec {
     val r = Sea.run(g, 0L, Sea.Config(k = 3, eps = 0.5, lambda = 1.0, maxRounds = 2))
     assert(!r.found)
     assert(!r.converged)
+  }
+
+  test("SEA rejects a query node absent from the graph, naming it") {
+    val g = TestGraphs.toAttributed(spark, TestGraphs.local(4, Seq((0, 1), (1, 2), (2, 3))))
+    val err = intercept[IllegalArgumentException](Sea.run(g, 999L, baseCfg))
+    assert(err.getMessage.contains("999"))
+  }
+
+  test("SEA on an isolated query node returns empty and not converged") {
+    val g = TestGraphs.toAttributed(spark, TestGraphs.local(5, Seq((0, 1), (1, 2), (2, 3))))
+    val r = Sea.run(g, 4L, baseCfg.copy(k = 1))
+    assert(!r.found)
+    assert(!r.converged)
+    assert(r.gqSize === 1)
   }
 }

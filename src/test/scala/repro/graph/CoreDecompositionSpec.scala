@@ -111,8 +111,8 @@ class CoreDecompositionSpec extends SparkSpec {
   test("collectLocal: round-trips ids, edges, and normalized attributes") {
     val lg = TestGraphs.randomLocal(15, 0.3, seed = 19)
     val g = TestGraphs.toAttributed(spark, lg)
-    val (mins, rngs) = repro.core.AttrDistance.numStats(g)
-    val back = CoreDecomposition.collectLocal(g, g.nodes.select("id"), mins, rngs)
+    val (mins, rngs) = g.numStats
+    val back = CoreDecomposition.collectLocal(g, g.nodes.select("id"))
     assert(back.n === lg.n)
     assert(back.edgeCount === lg.edgeCount)
     (0 until lg.n).foreach { i =>
