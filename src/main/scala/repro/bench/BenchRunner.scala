@@ -95,10 +95,8 @@ object BenchRunner {
   private def preStage(prep: Prepared, q: Long, k: Int, truss: Boolean)
       : (LocalGraph, Double) =
     Harness.timeMs {
-      val ids =
-        if (truss) TrussDecomposition.maximalConnectedKTruss(prep.g, q, k)
-        else CoreDecomposition.maximalConnectedKCore(prep.g, q, k)
-      CoreDecomposition.collectLocal(prep.g, ids)
+      if (truss) TrussDecomposition.maximalConnectedKTruss(prep.g, q, k)
+      else CoreDecomposition.maximalConnectedKCore(prep.g, q, k)
     }
 
   private def deltaOn(prep: Prepared, community: Set[Long], q: Long): Double =
@@ -125,7 +123,7 @@ object BenchRunner {
     if (methods.exists(coreMethods.contains)) {
       val (coreLg, tPre) = preStage(prep, q, p.k, truss = false)
       val model = new CoreModel(p.k)
-      if (coreLg.indexOf.contains(q) && coreLg.n >= p.k + 1) {
+      if (coreLg.n > 0) {
         val (qi, f) = localF(coreLg)
         if (methods.contains("Exact")) {
           val r = ExactCSAG.run(coreLg, qi, f, model, ExactCSAG.Pruning.All, p.exactCap)
@@ -169,7 +167,7 @@ object BenchRunner {
     if (methods.exists(trussMethods.contains)) {
       val (trussLg, tPre) = preStage(prep, q, p.k, truss = true)
       val model = new TrussModel(p.k)
-      if (trussLg.indexOf.contains(q) && trussLg.n >= p.k) {
+      if (trussLg.n > 0) {
         val (qi, f) = localF(trussLg)
         if (methods.contains("Exact-Truss")) {
           val r = ExactCSAG.run(trussLg, qi, f, model, ExactCSAG.Pruning.All, p.exactCap)

@@ -147,10 +147,8 @@ object Tables {
       val prep = Prepared(name, gen.graph, Harness.collectWhole(gen.graph),
         gen.membership, Datasets.gammaFor(name), gen.graph, gen.circles)
       val queries = pickQueries(prep, p)
-      val cores = queries.map { q =>
-        val ids = CoreDecomposition.maximalConnectedKCore(prep.g, q, p.k)
-        (q, CoreDecomposition.collectLocal(prep.g, ids))
-      }.filter { case (q, lg) => lg.indexOf.contains(q) && lg.n >= p.k + 1 }
+      val cores = queries.map(q => (q, CoreDecomposition.maximalConnectedKCore(prep.g, q, p.k)))
+        .filter(_._2.n > 0)
       configs.foreach { case (label, pruning) =>
         val runs = cores.map { case (q, lg) =>
           val qi = lg.indexOf(q)
@@ -230,8 +228,7 @@ object Tables {
     // Size-bounded exact references for the error column: enumeration with a
     // size-acceptance filter (P1-only pruning — P2/P3's proofs assume the
     // unconstrained objective), state-capped as a best-effort ground truth.
-    val coreIds = CoreDecomposition.maximalConnectedKCore(prep.g, q, p.k)
-    val coreLg = CoreDecomposition.collectLocal(prep.g, coreIds)
+    val coreLg = CoreDecomposition.maximalConnectedKCore(prep.g, q, p.k)
     val qi = coreLg.indexOf(q)
     val f = Array.tabulate(coreLg.n)(i => coreLg.pairDistance(i, qi, prep.gamma))
     val exactByBound = bounds.map { case (l, h) =>

@@ -129,7 +129,9 @@ object ExactCSAG {
   }
 
   /** End-to-end Exact on a distributed graph: distributed maximal connected
-    * k-core (§IV-A), collect it, enumerate with prunings (§IV-B).
+    * k-core (§IV-A), collect it, enumerate with prunings (§IV-B). Throws
+    * `IllegalArgumentException` when `q` is not in `g`; the community is
+    * empty when no connected k-core contains `q`.
     */
   def search(
       g: AttributedGraph,
@@ -140,9 +142,8 @@ object ExactCSAG {
       stateCap: Long = Long.MaxValue,
   ): Result = {
     val t0 = System.nanoTime()
-    val ids = CoreDecomposition.maximalConnectedKCore(g, q, k)
-    val lg = CoreDecomposition.collectLocal(g, ids)
-    if (!lg.indexOf.contains(q))
+    val lg = CoreDecomposition.maximalConnectedKCore(g, q, k)
+    if (lg.n == 0)
       return Result(Set.empty, Double.NaN, 0L, capped = false,
         (System.nanoTime() - t0) / 1e6)
     val qIdx = lg.indexOf(q)

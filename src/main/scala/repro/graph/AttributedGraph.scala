@@ -17,21 +17,11 @@ final case class AttributedGraph(nodes: DataFrame, edges: DataFrame) {
 
   def spark: SparkSession = nodes.sparkSession
 
-  /** Both orientations of every undirected edge — the shape most per-node
-    * aggregations (degree, frontier expansion) want.
+  /** [[AttributedGraph.adjacency]] of the whole graph, planned once per
+    * graph: traversals that run one small job per step skip Catalyst
+    * planning.
     */
-  def symmetricEdges: DataFrame =
-    edges.select(col("src"), col("dst"))
-      .union(edges.select(col("dst").as("src"), col("src").as("dst")))
-
-  /** [[symmetricEdges]] as `(src, dst)` pairs, planned once per graph:
-    * traversals that issue one small job per step skip Catalyst planning.
-    */
-  lazy val adjacencyRdd: RDD[(Long, Long)] = symmetricEdges.rdd.map(AttributedGraph.edgePair)
-
-  /** Per-node degree; nodes with no incident edge are absent (degree 0). */
-  def degrees: DataFrame =
-    symmetricEdges.groupBy(col("src").as("id")).agg(count(lit(1)).as("degree"))
+  lazy val adjacencyRdd: RDD[(Long, Long)] = AttributedGraph.adjacency(edges)
 
   /** `|V|`, counted once per graph. */
   lazy val nodeCount: Long = nodes.count()
@@ -52,18 +42,6 @@ final case class AttributedGraph(nodes: DataFrame, edges: DataFrame) {
     (r.getAs[Long]("id"), t, AttrDistance.normalize(nm, mins, rngs))
   }
 
-  /** Subgraph induced by a set of node ids (`ids` must have column `id`). */
-  def induced(ids: DataFrame): AttributedGraph = {
-    val keep = ids.select(col("id")).distinct()
-    AttributedGraph(
-      nodes.join(keep, Seq("id"), "left_semi"),
-      edges
-        .join(keep.withColumnRenamed("id", "src"), Seq("src"), "left_semi")
-        .join(keep.withColumnRenamed("id", "dst"), Seq("dst"), "left_semi")
-        .select("src", "dst", "etype"),
-    )
-  }
-
   /** Nodes of one type — the "target nodes" of a meta-path (§VI-A). */
   def nodesOfType(t: String): DataFrame = nodes.filter(col("ntype") === t)
 
@@ -75,8 +53,16 @@ final case class AttributedGraph(nodes: DataFrame, edges: DataFrame) {
 
 object AttributedGraph {
 
-  /** `(src, dst)` of a collected `edges` or [[AttributedGraph.symmetricEdges]] row. */
+  /** `(src, dst)` of a collected `edges` row. */
   def edgePair(r: Row): (Long, Long) = (r.getAs[Long]("src"), r.getAs[Long]("dst"))
+
+  /** Both orientations of every edge (`src`, `dst`) of `edges`, as pairs: the
+    * adjacency a driver-side BFS filters with one small job per layer.
+    */
+  def adjacency(edges: DataFrame): RDD[(Long, Long)] =
+    edges.select(col("src"), col("dst"))
+      .union(edges.select(col("dst").as("src"), col("src").as("dst")))
+      .rdd.map(edgePair)
 
   /** Build from driver-side rows; canonicalizes edge orientation and drops
     * self loops / duplicates. Intended for tests and synthetic generators.

@@ -1,5 +1,6 @@
 package repro.graph
 
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.functions._
 import scala.collection.mutable
 import repro.core.AttrDistance
@@ -13,7 +14,9 @@ import repro.core.AttrDistance
   *
   * `|G_q|` is Hoeffding-bounded (Theorem 10), so the visited set lives on
   * the driver and each layer costs one filter job over the symmetric edges,
-  * with the frontier shipped to the tasks as a set.
+  * with the frontier shipped to the tasks as a set. With no size bound the
+  * same walk collects q's maximal connected k-core or k-truss (§IV-A, §VI-C)
+  * from the peeled edge set.
   */
 object PriorityBfs {
 
@@ -26,14 +29,32 @@ object PriorityBfs {
     * Spark jobs: one per expanded layer, one attribute fetch, and one fetch
     * of the edges inside the last, unexpanded layer.
     */
-  def collectGq(g: AttributedGraph, q: Long, minSize: Long, gamma: Double): LocalGraph = {
+  def collectGq(g: AttributedGraph, q: Long, minSize: Long, gamma: Double): LocalGraph =
+    walk(g, g.adjacencyRdd, q, minSize, gamma)
+
+  /** `q`'s connected component over `adjacency` (both orientations of a
+    * subset of `g`'s edges, see [[AttributedGraph.adjacency]]), holding only
+    * those edges, in the node order of [[collectGq]]. Attributes come from
+    * `g`, normalized by the whole graph's stats. Empty when `q` has no edge
+    * in `adjacency`; throws when `q` is not in `g`.
+    *
+    * Spark jobs: one per BFS layer and one attribute fetch.
+    */
+  def componentOf(g: AttributedGraph, adjacency: RDD[(Long, Long)], q: Long): LocalGraph = {
+    // γ only ranks an overshooting layer, and an unbounded walk never overshoots.
+    val lg = walk(g, adjacency, q, Long.MaxValue, gamma = 0.0)
+    if (lg.n == 1) LocalGraph.build(Nil, Nil) else lg
+  }
+
+  private def walk(g: AttributedGraph, adjacency: RDD[(Long, Long)], q: Long,
+                   minSize: Long, gamma: Double): LocalGraph = {
     val visited = mutable.LinkedHashSet(q)
     val edges = mutable.ArrayBuffer.empty[(Long, Long)]
     var layer: Seq[Long] = Seq(q) // newest layer, not yet expanded
     var overshoot: Seq[Long] = Nil
     while (visited.size < minSize && layer.nonEmpty && overshoot.isEmpty) {
       val frontier = layer.toSet
-      val out = g.adjacencyRdd.filter(e => frontier(e._1)).collect()
+      val out = adjacency.filter(e => frontier(e._1)).collect()
       edges ++= out
       val next = out.iterator.map(_._2).filterNot(visited).toSeq.distinct.sorted
       if (visited.size + next.size <= minSize) {
@@ -59,7 +80,7 @@ object PriorityBfs {
     // one, never those inside the last layer that stayed unexpanded.
     if (layer.size > 1) {
       val last = layer.toSet
-      edges ++= g.adjacencyRdd.filter(e => last(e._1) && last(e._2)).collect()
+      edges ++= adjacency.filter(e => last(e._1) && last(e._2)).collect()
     }
     LocalGraph.build(visited.toSeq.map(rows), edges.toSeq)
   }

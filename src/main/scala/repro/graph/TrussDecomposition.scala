@@ -5,7 +5,7 @@ import org.apache.spark.sql.functions._
 
 /** Distributed k-truss machinery (§VI-C): triangle support via DataFrame
   * self-joins, iterative removal of edges with support < k−2, then the
-  * connected component of `q` over surviving edges.
+  * connected component of `q` over surviving edges, walked on the driver.
   */
 object TrussDecomposition {
 
@@ -50,12 +50,11 @@ object TrussDecomposition {
     cur
   }
 
-  /** Maximal connected k-truss containing `q` — node ids (`id`). */
-  def maximalConnectedKTruss(g: AttributedGraph, q: Long, k: Int): DataFrame = {
-    val surv = kTrussEdges(g.edges, k)
-    val nodeIds = surv.select(col("src").as("id"))
-      .union(surv.select(col("dst").as("id"))).distinct()
-    if (nodeIds.filter(col("id") === q).isEmpty) nodeIds.limit(0)
-    else CoreDecomposition.componentOf(surv, nodeIds, q)
-  }
+  /** Maximal connected k-truss containing `q`, collected: distributed peel,
+    * then the driver BFS over the surviving edges. The result keeps only
+    * truss edges, which suffices: truss_k(G[A]) = truss_k(T[A]) for any node
+    * set A, where T is the set of truss edges. Empty when every edge of q dies.
+    */
+  def maximalConnectedKTruss(g: AttributedGraph, q: Long, k: Int): LocalGraph =
+    PriorityBfs.componentOf(g, AttributedGraph.adjacency(kTrussEdges(g.edges, k)), q)
 }

@@ -105,12 +105,11 @@ class ExactSpec extends AnyFunSuite {
       val lg = TestGraphs.randomLocal(12, 0.45, seed = 500 + s)
       val k = 2
       val r = ExactCSAG.run(lg, 0, fOf(lg, 0), new CoreModel(k))
-      if (r.community.nonEmpty) {
-        assert(r.community.contains(0L))
-        val alive = scala.collection.mutable.BitSet(r.community.map(lg.indexOf).toSeq: _*)
-        alive.foreach(i => assert(lg.degreeWithin(i, alive) >= k))
-        assert(lg.componentOf(0, alive) === alive)
-      }
+      assert(r.community.nonEmpty, s"seed=$s")
+      assert(r.community.contains(0L))
+      val alive = scala.collection.mutable.BitSet(r.community.map(lg.indexOf).toSeq: _*)
+      alive.foreach(i => assert(lg.degreeWithin(i, alive) >= k))
+      assert(lg.componentOf(0, alive) === alive)
     }
   }
 
@@ -120,11 +119,10 @@ class ExactSpec extends AnyFunSuite {
       val f = fOf(lg, 0)
       val model = new CoreModel(2)
       val root = model.maximal(lg, lg.allAlive, 0)
-      if (root.nonEmpty) {
-        val rootDelta = root.iterator.filter(_ != 0).map(f).sum / (root.size - 1)
-        val r = ExactCSAG.run(lg, 0, f, model)
-        assert(r.delta <= rootDelta + 1e-12, s"seed=$s")
-      }
+      assert(root.nonEmpty, s"seed=$s")
+      val rootDelta = root.iterator.filter(_ != 0).map(f).sum / (root.size - 1)
+      val r = ExactCSAG.run(lg, 0, f, model)
+      assert(r.delta <= rootDelta + 1e-12, s"seed=$s")
     }
   }
 
@@ -145,6 +143,24 @@ class ExactSpec extends AnyFunSuite {
       assert((got.delta.isNaN && expected.delta.isNaN) ||
         math.abs(got.delta - expected.delta) < 1e-9, s"seed=$s")
     }
+  }
+
+  test("search rejects a query node absent from the graph, naming it") {
+    val g = TestGraphs.toAttributed(repro.SparkSpec.shared, TestGraphs.randomLocal(12, 0.5, seed = 701))
+    val ex = intercept[IllegalArgumentException](ExactCSAG.search(g, 99L, k = 2))
+    assert(ex.getMessage.contains("99"))
+  }
+
+  test("search: empty result when q is present but outside every k-core") {
+    // K4 {0..3} plus the tail 3-4: node 4 is in the graph but in no 3-core.
+    val lg = TestGraphs.local(5,
+      (for (a <- 0 until 4; b <- a + 1 until 4) yield (a, b)) :+ ((3, 4)))
+    val g = TestGraphs.toAttributed(repro.SparkSpec.shared, lg)
+    val r = ExactCSAG.search(g, 4L, k = 3)
+    assert(r.community.isEmpty)
+    assert(r.delta.isNaN)
+    assert(r.states === 0L)
+    assert(ExactCSAG.search(g, 0L, k = 3).community === Set(0L, 1L, 2L, 3L))
   }
 
   test("objective override: min-max objective is respected") {

@@ -89,10 +89,9 @@ class SeaSpec extends SparkSpec {
 
   test("size-bounded SEA returns a community within [l,h]") {
     val r = Sea.run(planted.graph, 40L, baseCfg.copy(sizeBound = Some((8, 20))))
-    if (r.found) {
-      assert(r.community.size >= 8 && r.community.size <= 20,
-        s"size ${r.community.size} outside [8,20]")
-    }
+    assert(r.found)
+    assert(r.community.size >= 8 && r.community.size <= 20,
+      s"size ${r.community.size} outside [8,20]")
   }
 
   test("size-bounded SEA with a wide bound behaves like unbounded") {

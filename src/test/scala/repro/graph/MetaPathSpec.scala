@@ -71,7 +71,8 @@ class MetaPathSpec extends SparkSpec {
       ),
     )
     val proj = MetaPath.project(g, Seq("A", "P", "A"))
-    val core = CoreDecomposition.kCoreNodes(proj.edges, 2).collect().map(_.getLong(0)).toSet
+    val core = CoreDecomposition.kCoreEdges(proj.edges, 2).collect()
+      .flatMap(r => Seq(r.getLong(0), r.getLong(1))).toSet
     assert(core === Set(0L, 1L, 2L))
   }
 

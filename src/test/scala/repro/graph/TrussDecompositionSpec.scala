@@ -69,15 +69,18 @@ class TrussDecompositionSpec extends SparkSpec {
       val g = TestGraphs.toAttributed(spark, lg)
       val k = 3
       val got = TrussDecomposition.maximalConnectedKTruss(g, 0L, k)
-        .collect().map(_.getLong(0)).toSet
       val expected = new TrussModel(k).maximal(lg, lg.allAlive, 0).map(lg.ids(_)).toSet
-      assert(got === expected, s"seed=$s")
+      assert(got.ids.toSet === expected, s"seed=$s")
+      // Only truss edges are collected.
+      val truss = TestGraphs.bruteTrussEdges(lg, k).map { case (u, v) => Set(lg.ids(u), lg.ids(v)) }
+      got.adj.indices.foreach(u => got.adj(u).foreach(v =>
+        assert(truss(Set(got.ids(u), got.ids(v))), s"seed=$s edge ${got.ids(u)}-${got.ids(v)}")))
     }
   }
 
   test("maximalConnectedKTruss: empty when q's edges die") {
     val lg = TestGraphs.local(5, Seq((0, 1), (1, 2), (0, 2), (2, 3), (3, 4)))
     val g = TestGraphs.toAttributed(spark, lg)
-    assert(TrussDecomposition.maximalConnectedKTruss(g, 4L, 3).isEmpty)
+    assert(TrussDecomposition.maximalConnectedKTruss(g, 4L, 3).n === 0)
   }
 }

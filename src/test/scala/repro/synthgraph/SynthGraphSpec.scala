@@ -133,10 +133,4 @@ class SynthGraphSpec extends SparkSpec {
     assert(Datasets.gammaFor("dblp-lite") === 0.5)
     assert(Datasets.gammaFor("facebook-lite") === 0.5)
   }
-
-  test("SynthData exposes the graph generators") {
-    val g = repro.SynthData.communityGraph(spark, SynthGraph.HomoSpec(
-      "s", 2, 10, 6, 2, seed = 3))
-    assert(g.graph.nodeCount === 20)
-  }
 }
