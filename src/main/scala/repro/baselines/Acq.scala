@@ -16,10 +16,9 @@ import repro.graph.{CohesionModel, LocalGraph}
   */
 object Acq {
 
-  final case class Result(community: Set[Long], sharedAttrs: Set[String], elapsedMs: Double)
+  final case class Result(community: Set[Long], sharedAttrs: Set[String])
 
   def run(lg: LocalGraph, qIdx: Int, model: CohesionModel): Result = {
-    val t0 = System.nanoTime()
     val qAttrs = lg.text(qIdx).toSeq.sorted.take(12)
 
     def communityFor(w: Set[String]): mutable.BitSet = {
@@ -49,6 +48,6 @@ object Acq {
       }
       size -= 1
     }
-    Result(best.iterator.map(lg.ids).toSet, bestW, (System.nanoTime() - t0) / 1e6)
+    Result(best.iterator.map(lg.ids).toSet, bestW)
   }
 }

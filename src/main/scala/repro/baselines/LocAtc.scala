@@ -15,7 +15,7 @@ import repro.graph.{CohesionModel, LocalGraph}
   */
 object LocAtc {
 
-  final case class Result(community: Set[Long], score: Double, elapsedMs: Double)
+  final case class Result(community: Set[Long], score: Double)
 
   def score(lg: LocalGraph, qIdx: Int, alive: mutable.BitSet): Double = {
     if (alive.isEmpty) return 0.0
@@ -29,7 +29,6 @@ object LocAtc {
   }
 
   def run(lg: LocalGraph, qIdx: Int, model: CohesionModel, maxIters: Int = 256): Result = {
-    val t0 = System.nanoTime()
     var cur = model.maximal(lg, lg.allAlive, qIdx)
     var curScore = score(lg, qIdx, cur)
     var improved = cur.nonEmpty
@@ -51,6 +50,6 @@ object LocAtc {
       }
       bestNext.foreach { c => cur = c; curScore = bestScore; improved = true }
     }
-    Result(cur.iterator.map(lg.ids).toSet, curScore, (System.nanoTime() - t0) / 1e6)
+    Result(cur.iterator.map(lg.ids).toSet, curScore)
   }
 }

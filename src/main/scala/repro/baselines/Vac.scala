@@ -18,7 +18,7 @@ import repro.graph.{CohesionModel, LocalGraph}
   */
 object Vac {
 
-  final case class Result(community: Set[Long], minMax: Double, elapsedMs: Double, capped: Boolean = false)
+  final case class Result(community: Set[Long], minMax: Double, capped: Boolean = false)
 
   def maxPairwise(lg: LocalGraph, alive: mutable.BitSet, gamma: Double): (Int, Int, Double) = {
     var bi = -1; var bj = -1; var bd = -1.0
@@ -37,10 +37,8 @@ object Vac {
   }
 
   def run(lg: LocalGraph, qIdx: Int, model: CohesionModel, gamma: Double): Result = {
-    val t0 = System.nanoTime()
     var cur = model.maximal(lg, lg.allAlive, qIdx)
-    if (cur.isEmpty)
-      return Result(Set.empty, Double.NaN, (System.nanoTime() - t0) / 1e6)
+    if (cur.isEmpty) return Result(Set.empty, Double.NaN)
     var halted = false
     while (!halted && cur.size > model.minCommunitySize) {
       val (u, v, _) = maxPairwise(lg, cur, gamma)
@@ -62,7 +60,7 @@ object Vac {
       }
     }
     val (_, _, mm) = maxPairwise(lg, cur, gamma)
-    Result(cur.iterator.map(lg.ids).toSet, mm, (System.nanoTime() - t0) / 1e6)
+    Result(cur.iterator.map(lg.ids).toSet, mm)
   }
 
   def runExact(
@@ -72,8 +70,7 @@ object Vac {
       gamma: Double,
       stateCap: Long,
   ): Result = {
-    val t0 = System.nanoTime()
-    val f = Array.tabulate(lg.n)(i => lg.pairDistance(i, qIdx, gamma))
+    val f = lg.distancesTo(qIdx, gamma)
     // The min-max objective is evaluated on every explored state — memoize
     // the pairwise distances once instead of recomputing set intersections.
     val dist = Array.tabulate(lg.n, lg.n)((i, j) => lg.pairDistance(i, j, gamma))
@@ -94,6 +91,6 @@ object Vac {
     }
     val r = ExactCSAG.run(lg, qIdx, f, model,
       ExactCSAG.Pruning.OnlyP1, stateCap, Some(objective))
-    Result(r.community, r.delta, (System.nanoTime() - t0) / 1e6, r.capped)
+    Result(r.community, r.delta, r.capped)
   }
 }

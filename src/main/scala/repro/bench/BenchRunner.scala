@@ -91,105 +91,61 @@ object BenchRunner {
       lambda = p.lambda, e = p.e, alpha = p.alpha, truss = truss,
       sizeBound = sizeBound, seed = p.seed)
 
-  /** Distributed maximal structure extraction + collect, timed. */
-  private def preStage(prep: Prepared, q: Long, k: Int, truss: Boolean)
-      : (LocalGraph, Double) =
-    Harness.timeMs {
-      if (truss) TrussDecomposition.maximalConnectedKTruss(prep.g, q, k)
-      else CoreDecomposition.maximalConnectedKCore(prep.g, q, k)
-    }
-
   private def deltaOn(prep: Prepared, community: Set[Long], q: Long): Double =
     if (community.isEmpty || community == Set(q)) Double.NaN
     else Metrics.delta(prep.lg, community, q, prep.gamma)
 
-  /** Evaluate the requested methods on one query. Method keys:
-    * Exact, SEA, ACQ-Core, LocATC-Core, VAC-Core, E-VAC-Core,
-    * Exact-Truss, SEA-Truss, LocATC-Truss, VAC-Truss.
+  /** Evaluate the requested methods on one query. `SEA` and `SEA-Truss` run
+    * [[Sea.run]]. Every other key names a method searched on q's maximal
+    * connected structure: Exact, ACQ, LocATC, VAC or E-VAC, with a `-Truss`
+    * suffix for the k-truss model and an optional `-Core` suffix for the
+    * k-core model (the tables use Exact, ACQ-Core, LocATC-Core, VAC-Core,
+    * E-VAC-Core, Exact-Truss, LocATC-Truss and VAC-Truss). Each model's
+    * structure is extracted once, and its time counts towards every method
+    * searched on it. Throws `IllegalArgumentException` on an unknown key.
     */
   def evalQuery(prep: Prepared, q: Long, p: Params, methods: Seq[String]): QueryEval = {
     val out = mutable.Map.empty[String, MethodResult]
-    // SEA and SEA-Truss find their own structure, so they never need the
-    // family's pre-stage.
-    val coreMethods = Seq("Exact", "ACQ-Core", "LocATC-Core", "VAC-Core", "E-VAC-Core")
-    val trussMethods = Seq("Exact-Truss", "LocATC-Truss", "VAC-Truss")
-
-    def localF(lg: LocalGraph): (Int, Array[Double]) = {
-      val qi = lg.indexOf(q)
-      (qi, Array.tabulate(lg.n)(i => lg.pairDistance(i, qi, prep.gamma)))
+    val (sea, searched) = methods.partition(m => m == "SEA" || m == "SEA-Truss")
+    sea.foreach { m =>
+      val (r, t) = Harness.timeMs(
+        Sea.run(prep.g, q, seaConfig(p, prep.gamma, truss = m == "SEA-Truss")))
+      out(m) = MethodResult(r.community, Double.NaN, t)
     }
 
-    // ---- k-core family ------------------------------------------------------
-    if (methods.exists(coreMethods.contains)) {
-      val (coreLg, tPre) = preStage(prep, q, p.k, truss = false)
-      val model = new CoreModel(p.k)
-      if (coreLg.n > 0) {
-        val (qi, f) = localF(coreLg)
-        if (methods.contains("Exact")) {
-          val r = ExactCSAG.run(coreLg, qi, f, model, ExactCSAG.Pruning.All, p.exactCap)
-          out("Exact") = MethodResult(r.community, r.delta, tPre + r.elapsedMs, r.capped)
-        }
-        if (methods.contains("ACQ-Core")) {
+    def search(key: String, model: CohesionModel): (LocalGraph, Int) => MethodResult =
+      key.stripSuffix("-Truss").stripSuffix("-Core") match {
+        case "Exact" => (lg, qi) =>
+          val r = ExactCSAG.run(lg, qi, lg.distancesTo(qi, prep.gamma), model,
+            ExactCSAG.Pruning.All, p.exactCap)
+          MethodResult(r.community, r.delta, 0.0, r.capped)
+        case "ACQ" => (lg, qi) =>
           // ACQ needs >=1 shared textual attribute (equality matching); with
           // numerical-only data it cannot return a community (paper §VII-E).
-          if (coreLg.text(qi).isEmpty)
-            out("ACQ-Core") = MethodResult(Set.empty, Double.NaN, tPre)
-          else {
-            val (r, t) = Harness.timeMs(Acq.run(coreLg, qi, model))
-            out("ACQ-Core") = MethodResult(
-              if (r.sharedAttrs.isEmpty) Set.empty else r.community,
-              Double.NaN, tPre + t)
-          }
-        }
-        if (methods.contains("LocATC-Core")) {
-          val (r, t) = Harness.timeMs(LocAtc.run(coreLg, qi, model))
-          out("LocATC-Core") = MethodResult(r.community, Double.NaN, tPre + t)
-        }
-        if (methods.contains("VAC-Core")) {
-          val (r, t) = Harness.timeMs(Vac.run(coreLg, qi, model, prep.gamma))
-          out("VAC-Core") = MethodResult(r.community, Double.NaN, tPre + t)
-        }
-        if (methods.contains("E-VAC-Core")) {
-          val (r, t) = Harness.timeMs(Vac.runExact(coreLg, qi, model, prep.gamma, p.evacCap))
-          out("E-VAC-Core") = MethodResult(r.community, Double.NaN, tPre + t, r.capped)
-        }
-      } else {
-        methods.filter(coreMethods.contains)
-          .foreach(m => out(m) = MethodResult(Set.empty, Double.NaN, tPre))
+          val r = Acq.run(lg, qi, model)
+          MethodResult(if (r.sharedAttrs.isEmpty) Set.empty else r.community, Double.NaN, 0.0)
+        case "LocATC" => (lg, qi) =>
+          MethodResult(LocAtc.run(lg, qi, model).community, Double.NaN, 0.0)
+        case "VAC" => (lg, qi) =>
+          MethodResult(Vac.run(lg, qi, model, prep.gamma).community, Double.NaN, 0.0)
+        case "E-VAC" => (lg, qi) =>
+          val r = Vac.runExact(lg, qi, model, prep.gamma, p.evacCap)
+          MethodResult(r.community, Double.NaN, 0.0, r.capped)
+        case _ => throw new IllegalArgumentException(s"unknown method key: $key")
       }
-    }
-    if (methods.contains("SEA")) {
-      val (r, t) = Harness.timeMs(Sea.run(prep.g, q, seaConfig(p, prep.gamma)))
-      out("SEA") = MethodResult(r.community, Double.NaN, t)
-    }
 
-    // ---- k-truss family -----------------------------------------------------
-    if (methods.exists(trussMethods.contains)) {
-      val (trussLg, tPre) = preStage(prep, q, p.k, truss = true)
-      val model = new TrussModel(p.k)
-      if (trussLg.n > 0) {
-        val (qi, f) = localF(trussLg)
-        if (methods.contains("Exact-Truss")) {
-          val r = ExactCSAG.run(trussLg, qi, f, model, ExactCSAG.Pruning.All, p.exactCap)
-          out("Exact-Truss") = MethodResult(r.community, r.delta, tPre + r.elapsedMs, r.capped)
-        }
-        if (methods.contains("LocATC-Truss")) {
-          val (r, t) = Harness.timeMs(LocAtc.run(trussLg, qi, model))
-          out("LocATC-Truss") = MethodResult(r.community, Double.NaN, tPre + t)
-        }
-        if (methods.contains("VAC-Truss")) {
-          val (r, t) = Harness.timeMs(Vac.run(trussLg, qi, model, prep.gamma))
-          out("VAC-Truss") = MethodResult(r.community, Double.NaN, tPre + t)
-        }
-      } else {
-        methods.filter(trussMethods.contains)
-          .foreach(m => out(m) = MethodResult(Set.empty, Double.NaN, tPre))
+    searched.groupBy(_.endsWith("-Truss")).foreach { case (truss, keys) =>
+      val model = if (truss) new TrussModel(p.k) else new CoreModel(p.k)
+      val runs = keys.map(m => m -> search(m, model))
+      val (lg, tPre) = Harness.timeMs(model.maximalConnected(prep.g, q))
+      runs.foreach { case (m, run) =>
+        out(m) =
+          if (lg.n == 0) MethodResult(Set.empty, Double.NaN, tPre)
+          else {
+            val (r, t) = Harness.timeMs(run(lg, lg.indexOf(q)))
+            r.copy(timeMs = tPre + t)
+          }
       }
-    }
-    if (methods.contains("SEA-Truss")) {
-      val (r, t) = Harness.timeMs(
-        Sea.run(prep.g, q, seaConfig(p, prep.gamma, truss = true)))
-      out("SEA-Truss") = MethodResult(r.community, Double.NaN, t)
     }
 
     // Fill in δ (measured on the full collected graph) for every method.

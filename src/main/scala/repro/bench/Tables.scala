@@ -147,18 +147,17 @@ object Tables {
       val prep = Prepared(name, gen.graph, Harness.collectWhole(gen.graph),
         gen.membership, Datasets.gammaFor(name), gen.graph, gen.circles)
       val queries = pickQueries(prep, p)
-      val cores = queries.map(q => (q, CoreDecomposition.maximalConnectedKCore(prep.g, q, p.k)))
-        .filter(_._2.n > 0)
+      val model = new CoreModel(p.k)
+      val cores = queries.map(q => (q, model.maximalConnected(prep.g, q))).filter(_._2.n > 0)
       configs.foreach { case (label, pruning) =>
         val runs = cores.map { case (q, lg) =>
           val qi = lg.indexOf(q)
-          val f = Array.tabulate(lg.n)(i => lg.pairDistance(i, qi, prep.gamma))
-          ExactCSAG.run(lg, qi, f, new CoreModel(p.k), pruning, cap)
+          Harness.timeMs(ExactCSAG.run(lg, qi, lg.distancesTo(qi, prep.gamma), model, pruning, cap))
         }
         rows += PruningRow(label, name,
-          runs.map(_.elapsedMs).sum / math.max(runs.size, 1),
-          runs.map(_.states.toDouble).sum / math.max(runs.size, 1),
-          runs.exists(_.capped))
+          runs.map(_._2).sum / math.max(runs.size, 1),
+          runs.map(_._1.states.toDouble).sum / math.max(runs.size, 1),
+          runs.exists(_._1.capped))
       }
     }
     val header = f"${"Config"}%-14s" + datasets.map(d => f"$d%26s").mkString +
@@ -228,11 +227,12 @@ object Tables {
     // Size-bounded exact references for the error column: enumeration with a
     // size-acceptance filter (P1-only pruning — P2/P3's proofs assume the
     // unconstrained objective), state-capped as a best-effort ground truth.
-    val coreLg = CoreDecomposition.maximalConnectedKCore(prep.g, q, p.k)
+    val model = new CoreModel(p.k)
+    val coreLg = model.maximalConnected(prep.g, q)
     val qi = coreLg.indexOf(q)
-    val f = Array.tabulate(coreLg.n)(i => coreLg.pairDistance(i, qi, prep.gamma))
+    val f = coreLg.distancesTo(qi, prep.gamma)
     val exactByBound = bounds.map { case (l, h) =>
-      val r = ExactCSAG.run(coreLg, qi, f, new CoreModel(p.k),
+      val r = ExactCSAG.run(coreLg, qi, f, model,
         ExactCSAG.Pruning.OnlyP1, p.exactCap,
         accept = Some(a => a.size >= l && a.size <= h))
       (l, h) -> r.delta

@@ -77,8 +77,4 @@ object AttrDistance {
     while (i < num.length) { out(i) = (num(i) - mins(i)) / rngs(i); i += 1 }
     out
   }
-
-  /** δ(H) over a set of distances-to-q (q itself excluded by the caller). */
-  def deltaOf(fValues: Iterable[Double]): Double =
-    if (fValues.isEmpty) 0.0 else fValues.sum / fValues.size
 }

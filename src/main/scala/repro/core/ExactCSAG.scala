@@ -1,7 +1,7 @@
 package repro.core
 
 import scala.collection.mutable
-import repro.graph.{AttributedGraph, CohesionModel, CoreDecomposition, CoreModel, LocalGraph}
+import repro.graph.{AttributedGraph, CohesionModel, CoreModel, LocalGraph}
 
 /** Exact baseline for CS-AG (§IV): search-tree enumeration over the maximal
   * connected k-core with three pruning strategies.
@@ -43,7 +43,6 @@ object ExactCSAG {
       delta: Double,
       states: Long,
       capped: Boolean,
-      elapsedMs: Double,
   )
 
   /** Run the enumeration on a collected local graph. `f(i)` is the composite
@@ -61,8 +60,7 @@ object ExactCSAG {
       objective: Option[mutable.BitSet => Double] = scala.None,
       accept: Option[mutable.BitSet => Boolean] = scala.None,
   ): Result = {
-    val t0 = System.nanoTime()
-    val k = model match { case c: CoreModel => c.k; case m => m.minCommunitySize - 1 }
+    val k = model.minCommunitySize - 1
 
     def deltaOf(alive: mutable.BitSet): Double = {
       var s = 0.0; var c = 0
@@ -72,9 +70,7 @@ object ExactCSAG {
     val score: mutable.BitSet => Double = objective.getOrElse(deltaOf)
 
     val root = model.maximal(lg, lg.allAlive, qIdx)
-    if (root.isEmpty)
-      return Result(Set.empty, Double.NaN, 0L, capped = false,
-        (System.nanoTime() - t0) / 1e6)
+    if (root.isEmpty) return Result(Set.empty, Double.NaN, 0L, capped = false)
 
     val ok: mutable.BitSet => Boolean = accept.getOrElse(_ => true)
     var best = if (ok(root)) root.clone() else mutable.BitSet.empty
@@ -124,8 +120,7 @@ object ExactCSAG {
 
     enumerate(root, Double.PositiveInfinity)
     Result(best.iterator.map(lg.ids).toSet,
-      if (best.isEmpty) Double.NaN else bestScore, states, capped,
-      (System.nanoTime() - t0) / 1e6)
+      if (best.isEmpty) Double.NaN else bestScore, states, capped)
   }
 
   /** End-to-end Exact on a distributed graph: distributed maximal connected
@@ -141,14 +136,10 @@ object ExactCSAG {
       pruning: Pruning = Pruning.All,
       stateCap: Long = Long.MaxValue,
   ): Result = {
-    val t0 = System.nanoTime()
-    val lg = CoreDecomposition.maximalConnectedKCore(g, q, k)
-    if (lg.n == 0)
-      return Result(Set.empty, Double.NaN, 0L, capped = false,
-        (System.nanoTime() - t0) / 1e6)
+    val model = new CoreModel(k)
+    val lg = model.maximalConnected(g, q)
+    if (lg.n == 0) return Result(Set.empty, Double.NaN, 0L, capped = false)
     val qIdx = lg.indexOf(q)
-    val fArr = Array.tabulate(lg.n)(i => lg.pairDistance(i, qIdx, gamma))
-    val r = run(lg, qIdx, fArr, new CoreModel(k), pruning, stateCap)
-    r.copy(elapsedMs = (System.nanoTime() - t0) / 1e6)
+    run(lg, qIdx, lg.distancesTo(qIdx, gamma), model, pruning, stateCap)
   }
 }

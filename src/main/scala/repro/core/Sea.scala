@@ -59,13 +59,11 @@ object Sea {
       rounds: Seq[Round],
       gqSize: Long,
       sampleSize: Long,
-      elapsedMs: Double,
   ) {
     def found: Boolean = community.nonEmpty
   }
 
   def run(g: AttributedGraph, q: Long, cfg: Config): Result = {
-    val t0 = System.nanoTime()
     def ms(since: Long): Double = (System.nanoTime() - since) / 1e6
 
     val model: CohesionModel =
@@ -81,7 +79,7 @@ object Sea {
     // driver from here on.
     val lg = PriorityBfs.collectGq(g, q, minGq, cfg.gamma)
     val qIdx = lg.indexOf(q)
-    val fLoc = Array.tabulate(lg.n)(i => lg.pairDistance(i, qIdx, cfg.gamma))
+    val fLoc = lg.distancesTo(qIdx, cfg.gamma)
     val gqSize = lg.n.toLong
 
     val initial = math.max((cfg.lambda * gqSize).toLong, model.minCommunitySize * 3L)
@@ -173,6 +171,6 @@ object Sea {
     val converged = bestCommunity.nonEmpty && !bestMoe.isNaN &&
       bestMoe <= Blb.accuracyBound(bestDelta, cfg.e)
     Result(bestCommunity, bestDelta, bestMoe, converged, rounds.toSeq,
-      gqSize, sample.size.toLong, ms(t0))
+      gqSize, sample.size.toLong)
   }
 }

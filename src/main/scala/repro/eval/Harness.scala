@@ -31,6 +31,4 @@ object Harness {
   def collectWhole(g: AttributedGraph): LocalGraph =
     LocalGraph.build(g.nodes.collect().map(g.localNode).toSeq,
       g.edges.collect().map(AttributedGraph.edgePair).toSeq)
-
-  def mean(xs: Seq[Double]): Double = if (xs.isEmpty) 0.0 else xs.sum / xs.size
 }

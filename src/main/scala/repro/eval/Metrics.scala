@@ -1,6 +1,7 @@
 package repro.eval
 
 import scala.collection.mutable
+import repro.baselines.{LocAtc, Vac}
 import repro.graph.LocalGraph
 
 /** Effectiveness metrics used by the evaluation section (§VII-A "Metrics"
@@ -24,34 +25,17 @@ object Metrics {
   /** VAC's metric: maximum pairwise composite distance within H ("Min-max"
     * column of Table II — smaller is better).
     */
-  def minMaxPairwise(lg: LocalGraph, community: Set[Long], gamma: Double): Double = {
-    val nodes = community.toArray.map(lg.indexOf)
-    var worst = 0.0
-    var i = 0
-    while (i < nodes.length) {
-      var j = i + 1
-      while (j < nodes.length) {
-        val d = lg.pairDistance(nodes(i), nodes(j), gamma)
-        if (d > worst) worst = d
-        j += 1
-      }
-      i += 1
-    }
-    worst
-  }
+  def minMaxPairwise(lg: LocalGraph, community: Set[Long], gamma: Double): Double =
+    Vac.maxPairwise(lg, local(lg, community), gamma)._3
 
   /** ATC's metric: attribute coverage `Σ_{a∈A^t(q)} |V_a ∩ V_H|²/|V_H|`
     * (larger is better).
     */
-  def coverageScore(lg: LocalGraph, community: Set[Long], qId: Long): Double = {
-    if (community.isEmpty) return 0.0
-    val qAttrs = lg.text(lg.indexOf(qId))
-    val counts = mutable.Map.empty[String, Int].withDefaultValue(0)
-    community.foreach { id =>
-      lg.text(lg.indexOf(id)).foreach(a => if (qAttrs.contains(a)) counts(a) += 1)
-    }
-    qAttrs.iterator.map(a => counts(a).toDouble * counts(a) / community.size).sum
-  }
+  def coverageScore(lg: LocalGraph, community: Set[Long], qId: Long): Double =
+    LocAtc.score(lg, lg.indexOf(qId), local(lg, community))
+
+  private def local(lg: LocalGraph, ids: Set[Long]): mutable.BitSet =
+    mutable.BitSet.fromSpecific(ids.iterator.map(lg.indexOf))
 
   /** ACQ's metric: fraction of q's textual attributes shared by *every*
     * community member (larger is better). See DESIGN.md §5 for the

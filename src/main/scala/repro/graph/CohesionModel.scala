@@ -1,13 +1,29 @@
 package repro.graph
 
+import org.apache.spark.sql.DataFrame
 import scala.collection.mutable
 
 /** A structure-cohesiveness model (§II-A / §VI-C): given a set of alive
   * nodes, compute the maximal connected cohesive substructure containing `q`.
   * Used by the exact enumeration (§IV-B, "k-core maintenance" per state) and
-  * by SEA's greedy candidate search (§V-B).
+  * by SEA's greedy candidate search (§V-B). On the distributed graph the
+  * model peels `G` with Spark and collects q's maximal connected structure
+  * (§IV-A), which Exact and the baselines then search on the driver.
   */
 trait CohesionModel {
+
+  /** The edges (`src`, `dst`) that survive this model's distributed peel. */
+  def peelEdges(edges: DataFrame): DataFrame
+
+  /** Maximal connected cohesive subgraph of `g` containing `q`, collected:
+    * the distributed peel, then the driver BFS over the surviving edges. It
+    * holds only surviving edges, which suffices: for any node set A, the
+    * structure of G[A] equals that of the peeled graph restricted to A.
+    * Attributes are normalized by the whole graph's stats. Empty when `q`
+    * keeps no edge; throws `IllegalArgumentException` when `q` is not in `g`.
+    */
+  def maximalConnected(g: AttributedGraph, q: Long): LocalGraph =
+    PriorityBfs.componentOf(g, AttributedGraph.adjacency(peelEdges(g.edges)), q)
 
   /** Maximal connected cohesive subgraph of `g[alive]` containing `q`.
     * Returns an empty set when `q` cannot be retained.
@@ -27,6 +43,8 @@ final class CoreModel(val k: Int) extends CohesionModel {
   require(k >= 1, "k-core requires k >= 1")
 
   override def minCommunitySize: Int = k + 1
+
+  override def peelEdges(edges: DataFrame): DataFrame = CoreDecomposition.kCoreEdges(edges, k)
 
   override def maximal(g: LocalGraph, alive: mutable.BitSet, q: Int): mutable.BitSet = {
     if (!alive(q)) return mutable.BitSet.empty
@@ -60,6 +78,8 @@ final class TrussModel(val k: Int) extends CohesionModel {
   require(k >= 2, "k-truss requires k >= 2")
 
   override def minCommunitySize: Int = k
+
+  override def peelEdges(edges: DataFrame): DataFrame = TrussDecomposition.kTrussEdges(edges, k)
 
   override def maximal(g: LocalGraph, alive: mutable.BitSet, q: Int): mutable.BitSet = {
     if (!alive(q)) return mutable.BitSet.empty

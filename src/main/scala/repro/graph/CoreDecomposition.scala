@@ -34,11 +34,4 @@ object CoreDecomposition {
     }
     cur
   }
-
-  /** Maximal connected k-core containing `q` (§IV-A), collected: distributed
-    * peel, then the driver BFS over the surviving edges. Empty when q does
-    * not survive the peel.
-    */
-  def maximalConnectedKCore(g: AttributedGraph, q: Long, k: Int): LocalGraph =
-    PriorityBfs.componentOf(g, AttributedGraph.adjacency(kCoreEdges(g.edges, k)), q)
 }

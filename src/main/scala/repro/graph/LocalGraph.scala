@@ -12,7 +12,7 @@ import repro.core.AttrDistance
   *
   * Node indices are `0 until n`; `ids(i)` maps back to the graph's node id.
   * `text`/`num` hold the (already normalized) attributes used for pairwise
-  * distances; `f(i)` caches the composite distance to the query node.
+  * distances.
   */
 final class LocalGraph(
     val ids: Array[Long],
@@ -44,6 +44,10 @@ final class LocalGraph(
   /** Pairwise composite attribute distance between two local nodes. */
   def pairDistance(i: Int, j: Int, gamma: Double): Double =
     AttrDistance.composite(text(i), num(i), text(j), num(j), gamma)
+
+  /** `f(·,q)`: the composite distance of every local node to node `q`. */
+  def distancesTo(q: Int, gamma: Double): Array[Double] =
+    Array.tabulate(n)(pairDistance(_, q, gamma))
 
   def allAlive: mutable.BitSet = mutable.BitSet(0 until n: _*)
 

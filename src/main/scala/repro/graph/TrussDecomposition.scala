@@ -4,8 +4,7 @@ import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
 /** Distributed k-truss machinery (§VI-C): triangle support via DataFrame
-  * self-joins, iterative removal of edges with support < k−2, then the
-  * connected component of `q` over surviving edges, walked on the driver.
+  * self-joins and iterative removal of edges with support < k−2.
   */
 object TrussDecomposition {
 
@@ -49,12 +48,4 @@ object TrussDecomposition {
     }
     cur
   }
-
-  /** Maximal connected k-truss containing `q`, collected: distributed peel,
-    * then the driver BFS over the surviving edges. The result keeps only
-    * truss edges, which suffices: truss_k(G[A]) = truss_k(T[A]) for any node
-    * set A, where T is the set of truss edges. Empty when every edge of q dies.
-    */
-  def maximalConnectedKTruss(g: AttributedGraph, q: Long, k: Int): LocalGraph =
-    PriorityBfs.componentOf(g, AttributedGraph.adjacency(kTrussEdges(g.edges, k)), q)
 }

@@ -223,9 +223,4 @@ class AttrDistanceSpec extends SparkSpec {
         |FROM fv JOIN c USING (id) WHERE id <> '1'""".stripMargin
     Oracle.assertEquivalent(sparkDelta, sql, "fv" -> fDf, "c" -> members)
   }
-
-  test("deltaOf: mean of values, 0 on empty") {
-    assert(AttrDistance.deltaOf(Nil) === 0.0)
-    assert(math.abs(AttrDistance.deltaOf(Seq(0.2, 0.4)) - 0.3) < 1e-12)
-  }
 }

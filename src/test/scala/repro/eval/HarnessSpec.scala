@@ -40,9 +40,4 @@ class HarnessSpec extends SparkSpec {
     assert(x === 42)
     assert(t >= 4.0)
   }
-
-  test("mean helper") {
-    assert(Harness.mean(Seq(1.0, 2.0, 3.0)) === 2.0)
-    assert(Harness.mean(Nil) === 0.0)
-  }
 }

@@ -106,15 +106,12 @@ class CohesionModelSpec extends AnyFunSuite {
     (1 to 5).foreach { s =>
       val lg = TestGraphs.randomLocal(25, 0.25, seed = 200 + s)
       (3 to 4).foreach { k =>
-        val expectedEdges = TestGraphs.bruteTrussEdges(lg, k)
-        val expectedNodes = mutable.BitSet(expectedEdges.flatMap(e => Seq(e._1, e._2)).toSeq: _*)
-        val got = new TrussModel(k).maximal(lg, lg.allAlive, 0)
-        if (!expectedNodes(0)) assert(got.isEmpty, s"seed=$s k=$k")
-        else {
-          // got = q's component over surviving edges ⊆ expected nodes
-          assert(got.subsetOf(expectedNodes), s"seed=$s k=$k")
-          assert(got.isEmpty || got(0))
-        }
+        // q's connected component over the brute-force truss edges, empty
+        // when q keeps no edge.
+        val truss = TestGraphs.local(lg.n, TestGraphs.bruteTrussEdges(lg, k).toSeq)
+        val component = truss.componentOf(0, truss.allAlive)
+        val expected = if (component.size == 1) mutable.BitSet.empty else component
+        assert(new TrussModel(k).maximal(lg, lg.allAlive, 0) === expected, s"seed=$s k=$k")
       }
     }
   }

@@ -83,7 +83,7 @@ class CoreDecompositionSpec extends SparkSpec {
       val lg = TestGraphs.randomLocal(30, 0.2, seed = 80 + s)
       val g = TestGraphs.toAttributed(spark, lg)
       val k = 3
-      val got = CoreDecomposition.maximalConnectedKCore(g, 0L, k).ids.toSet
+      val got = new CoreModel(k).maximalConnected(g, 0L).ids.toSet
       val expected = new CoreModel(k).maximal(lg, lg.allAlive, 0)
         .map(lg.ids(_)).toSet
       assert(got === expected, s"seed=$s")
@@ -94,7 +94,7 @@ class CoreDecompositionSpec extends SparkSpec {
     val lg = TestGraphs.local(6,
       (for (a <- 0 until 4; b <- a + 1 until 4) yield (a, b)) ++ Seq((3, 4), (4, 5)))
     val g = TestGraphs.toAttributed(spark, lg)
-    assert(CoreDecomposition.maximalConnectedKCore(g, 5L, 3).n === 0)
+    assert(new CoreModel(3).maximalConnected(g, 5L).n === 0)
   }
 
   test("maximalConnectedKCore: normalized by the whole graph's stats") {
@@ -104,7 +104,7 @@ class CoreDecompositionSpec extends SparkSpec {
     val g = AttributedGraph.homogeneous(spark,
       raw.zipWithIndex.map { case (x, i) => (i.toLong, Seq(s"t$i"), Seq(x, 10 * x)) },
       (for (a <- 0L until 4L; b <- a + 1 until 4L) yield (a, b)) ++ Seq((3L, 4L), (4L, 5L)))
-    val core = CoreDecomposition.maximalConnectedKCore(g, 0L, 3)
+    val core = new CoreModel(3).maximalConnected(g, 0L)
     assert(core.ids.toSet === Set(0L, 1L, 2L, 3L))
     core.ids.indices.foreach { i =>
       val x = raw(core.ids(i).toInt)

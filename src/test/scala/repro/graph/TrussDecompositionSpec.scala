@@ -68,7 +68,7 @@ class TrussDecompositionSpec extends SparkSpec {
       val lg = TestGraphs.randomLocal(22, 0.3, seed = 90 + s)
       val g = TestGraphs.toAttributed(spark, lg)
       val k = 3
-      val got = TrussDecomposition.maximalConnectedKTruss(g, 0L, k)
+      val got = new TrussModel(k).maximalConnected(g, 0L)
       val expected = new TrussModel(k).maximal(lg, lg.allAlive, 0).map(lg.ids(_)).toSet
       assert(got.ids.toSet === expected, s"seed=$s")
       // Only truss edges are collected.
@@ -81,6 +81,6 @@ class TrussDecompositionSpec extends SparkSpec {
   test("maximalConnectedKTruss: empty when q's edges die") {
     val lg = TestGraphs.local(5, Seq((0, 1), (1, 2), (0, 2), (2, 3), (3, 4)))
     val g = TestGraphs.toAttributed(spark, lg)
-    assert(TrussDecomposition.maximalConnectedKTruss(g, 4L, 3).n === 0)
+    assert(new TrussModel(3).maximalConnected(g, 4L).n === 0)
   }
 }
