@@ -10,12 +10,15 @@ import repro.synthgraph.{Datasets, SynthGraph}
 
 /** Shared machinery for the per-table benchmarks (§VII).
   *
-  * Every method is timed end-to-end including its distributed pre-stage:
-  * Exact and the comparison baselines pay the distributed maximal connected
-  * k-core/k-truss extraction plus their driver-side search (as in the paper,
-  * where all of them traverse the graph), SEA pays its own
-  * sampling-estimation pipeline. Exact ground truth is state-capped; the cap
-  * plays the role of the paper's ">8 days" timeouts and is reported.
+  * Every method is timed end to end per query. SEA pays its whole
+  * sampling-estimation pipeline. Exact and the comparison baselines pay the
+  * driver BFS that collects q's maximal connected k-core/k-truss plus their
+  * driver-side search; the distributed k-core/k-truss peel under that BFS
+  * does not depend on q, so it runs once per graph and model
+  * ([[AttributedGraph.peeledAdjacency]]). The tables build it before their
+  * timed queries, and Table V reports its time on its own.
+  * Exact ground truth is state-capped; the cap plays the role of the paper's
+  * ">8 days" timeouts and is reported.
   */
 object BenchRunner {
 
@@ -101,8 +104,9 @@ object BenchRunner {
     * suffix for the k-truss model and an optional `-Core` suffix for the
     * k-core model (the tables use Exact, ACQ-Core, LocATC-Core, VAC-Core,
     * E-VAC-Core, Exact-Truss, LocATC-Truss and VAC-Truss). Each model's
-    * structure is extracted once, and its time counts towards every method
-    * searched on it. Throws `IllegalArgumentException` on an unknown key.
+    * structure is collected once per query, and its time counts towards
+    * every method searched on it; the peel under it is cached per graph.
+    * Throws `IllegalArgumentException` on an unknown key.
     */
   def evalQuery(prep: Prepared, q: Long, p: Params, methods: Seq[String]): QueryEval = {
     val out = mutable.Map.empty[String, MethodResult]
@@ -135,7 +139,7 @@ object BenchRunner {
       }
 
     searched.groupBy(_.endsWith("-Truss")).foreach { case (truss, keys) =>
-      val model = if (truss) new TrussModel(p.k) else new CoreModel(p.k)
+      val model = if (truss) TrussModel(p.k) else CoreModel(p.k)
       val runs = keys.map(m => m -> search(m, model))
       val (lg, tPre) = Harness.timeMs(model.maximalConnected(prep.g, q))
       runs.foreach { case (m, run) =>

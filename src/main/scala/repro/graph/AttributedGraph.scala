@@ -3,6 +3,7 @@ package repro.graph
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.functions._
+import scala.collection.mutable
 import repro.core.AttrDistance
 
 /** An attributed graph per Definition 1 of the paper, held as two DataFrames.
@@ -31,6 +32,19 @@ final case class AttributedGraph(nodes: DataFrame, edges: DataFrame) {
     * stats), computed once per graph.
     */
   lazy val numStats: (Array[Double], Array[Double]) = AttrDistance.numStats(this)
+
+  private val peeled = mutable.Map.empty[CohesionModel, RDD[(Long, Long)]]
+
+  /** [[AttributedGraph.adjacency]] of the edges that survive `model`'s
+    * distributed peel, peeled once per graph and model on first use. The
+    * peel does not depend on the query node, so every later call reuses it.
+    * Concurrent first calls wait for one build. The RDD's lineage holds the peel's final `localCheckpoint`, so keeping
+    * it here keeps Spark's `ContextCleaner` off the checkpointed blocks.
+    */
+  def peeledAdjacency(model: CohesionModel): RDD[(Long, Long)] =
+    peeled.synchronized {
+      peeled.getOrElseUpdate(model, AttributedGraph.adjacency(model.peelEdges(edges)))
+    }
 
   /** `(id, A^t(v), Z(A^#(v)))` of a collected `nodes` row, normalized with
     * this graph's stats — the node shape [[LocalGraph.build]] takes.

@@ -16,14 +16,17 @@ trait CohesionModel {
   def peelEdges(edges: DataFrame): DataFrame
 
   /** Maximal connected cohesive subgraph of `g` containing `q`, collected:
-    * the distributed peel, then the driver BFS over the surviving edges. It
+    * the driver BFS from `q` over the edges that survive this model's
+    * distributed peel. The peel is cached per graph and model
+    * ([[AttributedGraph.peeledAdjacency]]), so only the first call on a graph
+    * pays it; each call pays the BFS and the attribute fetch. The result
     * holds only surviving edges, which suffices: for any node set A, the
     * structure of G[A] equals that of the peeled graph restricted to A.
     * Attributes are normalized by the whole graph's stats. Empty when `q`
     * keeps no edge; throws `IllegalArgumentException` when `q` is not in `g`.
     */
   def maximalConnected(g: AttributedGraph, q: Long): LocalGraph =
-    PriorityBfs.componentOf(g, AttributedGraph.adjacency(peelEdges(g.edges)), q)
+    PriorityBfs.componentOf(g, g.peeledAdjacency(this), q)
 
   /** Maximal connected cohesive subgraph of `g[alive]` containing `q`.
     * Returns an empty set when `q` cannot be retained.
@@ -37,9 +40,10 @@ trait CohesionModel {
 
 /** Connected k-core (Definitions 2–3): peel nodes with degree < k, then take
   * q's connected component. One peel + one component pass suffices: removing
-  * other components does not change degrees inside q's component.
+  * other components does not change degrees inside q's component. A case
+  * class, so that equal `k` share one cached peel per graph.
   */
-final class CoreModel(val k: Int) extends CohesionModel {
+final case class CoreModel(k: Int) extends CohesionModel {
   require(k >= 1, "k-core requires k >= 1")
 
   override def minCommunitySize: Int = k + 1
@@ -71,10 +75,13 @@ final class CoreModel(val k: Int) extends CohesionModel {
 
 /** Connected k-truss (§VI-C): every edge lies in ≥ k−2 triangles within the
   * truss; community = q's connected component over surviving edges. We
-  * recompute the edge-support fixpoint from scratch per call — candidate
-  * graphs are small (the collected `G_q[S]`), so this stays cheap.
+  * recompute the edge-support fixpoint from scratch per call. The candidate
+  * graphs are SEA-Truss's collected `G_q[S]` and, for Exact-Truss,
+  * LocATC-Truss and VAC-Truss, q's whole collected maximal connected k-truss;
+  * at lite scale both stay small enough for that. A case class, so that
+  * equal `k` share one cached peel per graph.
   */
-final class TrussModel(val k: Int) extends CohesionModel {
+final case class TrussModel(k: Int) extends CohesionModel {
   require(k >= 2, "k-truss requires k >= 2")
 
   override def minCommunitySize: Int = k

@@ -1,10 +1,11 @@
 package repro.graph
 
-import org.scalatest.funsuite.AnyFunSuite
+import org.scalatest.concurrent.Eventually._
+import org.scalatest.time.SpanSugar._
 import scala.collection.mutable
-import repro.TestGraphs
+import repro.{SparkSpec, TestGraphs}
 
-class CohesionModelSpec extends AnyFunSuite {
+class CohesionModelSpec extends SparkSpec {
 
   private def k4plusTail: LocalGraph =
     // K4 on {0,1,2,3} with a tail 3-4-5
@@ -127,6 +128,98 @@ class CohesionModelSpec extends AnyFunSuite {
 
   test("TrussModel: minCommunitySize is k") {
     assert(new TrussModel(4).minCommunitySize === 4)
+  }
+
+  // ---- maximalConnected over the per-graph peel cache ---------------------
+
+  /** Same ids in the same order, and per node the same neighbour ids and
+    * attributes.
+    */
+  private def sameGraph(a: LocalGraph, b: LocalGraph): Boolean =
+    a.ids.sameElements(b.ids) && a.ids.indices.forall { i =>
+      a.adj(i).map(a.ids).toSet == b.adj(i).map(b.ids).toSet &&
+        a.text(i) == b.text(i) && a.num(i).sameElements(b.num(i))
+    }
+
+  /** `body`'s result and the number of Spark jobs it ran, counted by job
+    * group in the status store.
+    */
+  private def jobsIn[A](group: String)(body: => A): (A, Int) = {
+    val sc = spark.sparkContext
+    sc.setJobGroup(group, group)
+    val a = try body finally sc.clearJobGroup()
+    // The status store is fed asynchronously but in event order: once a
+    // later job shows up there, every job of `group` has too.
+    val fence = s"$group-fence"
+    sc.setJobGroup(fence, fence)
+    try sc.parallelize(Seq(1), 1).count() finally sc.clearJobGroup()
+    eventually(timeout(30.seconds))(assert(sc.statusTracker.getJobIdsForGroup(fence).nonEmpty))
+    (a, sc.statusTracker.getJobIdsForGroup(group).length)
+  }
+
+  /** BFS layers from `q` in `lg`: its eccentricity plus one. */
+  private def layersFrom(lg: LocalGraph, q: Long): Int = {
+    val dist = mutable.Map(lg.indexOf(q) -> 0)
+    val queue = mutable.Queue(lg.indexOf(q))
+    while (queue.nonEmpty) {
+      val u = queue.dequeue()
+      lg.adj(u).foreach(v => if (!dist.contains(v)) { dist(v) = dist(u) + 1; queue += v })
+    }
+    dist.values.max + 1
+  }
+
+  test("maximalConnected: on a warm cache equals a fresh peel and BFS, for every q") {
+    var outcomes = Set.empty[Boolean] // whether q's structure was empty
+    Seq(CoreModel(3), TrussModel(4)).foreach { model =>
+      val lg = TestGraphs.randomLocal(16, 0.35, seed = 501)
+      val g = TestGraphs.toAttributed(spark, lg)
+      model.maximalConnected(g, lg.ids(0))
+      val fresh = AttributedGraph.adjacency(model.peelEdges(g.edges))
+      lg.ids.foreach { q =>
+        val got = model.maximalConnected(g, q)
+        assert(sameGraph(got, PriorityBfs.componentOf(g, fresh, q)), s"$model q=$q")
+        outcomes += got.n == 0
+      }
+    }
+    assert(outcomes === Set(true, false))
+  }
+
+  test("peeledAdjacency: one entry per model, and a repeat call returns it") {
+    val g = TestGraphs.toAttributed(spark, k4plusTail)
+    val models = Seq(CoreModel(3), CoreModel(4), TrussModel(3))
+    val entries = models.map(g.peeledAdjacency)
+    assert(entries.distinct.size === 3)
+    models.zip(entries).foreach { case (m, e) => assert(g.peeledAdjacency(m) eq e, m) }
+    assert(g.peeledAdjacency(new CoreModel(3)) eq entries.head)
+    val k4 = for (a <- 0L until 4L; b <- 0L until 4L if a != b) yield (a, b)
+    assert(entries.map(_.collect().toSet) === Seq(k4.toSet, Set.empty, k4.toSet))
+  }
+
+  test("maximalConnected: a warm call runs fewer jobs than the cold one, at most layers + 1") {
+    Seq(CoreModel(3), TrussModel(3)).foreach { model =>
+      val lg = TestGraphs.randomLocal(30, 0.2, seed = 601)
+      val g = TestGraphs.toAttributed(spark, lg)
+      val inside = model.maximal(lg, lg.allAlive, lg.componentOf(0, lg.allAlive).maxBy(lg.adj(_).length))
+      assert(inside.size > 1, model)
+      // Two adjacent nodes of the structure: their BFS depths differ by at most one.
+      val q1 = lg.ids(inside.head)
+      val q2 = lg.ids(lg.adj(inside.head).find(inside).get)
+      val (_, cold) = jobsIn(s"cold-$model")(model.maximalConnected(g, q1))
+      val (warmLg, warm) = jobsIn(s"warm-$model")(model.maximalConnected(g, q2))
+      assert(warmLg.ids.toSet === inside.map(lg.ids).toSet, model)
+      assert(warm < cold, s"$model: warm $warm, cold $cold")
+      assert(warm <= layersFrom(warmLg, q2) + 1, model)
+    }
+  }
+
+  test("maximalConnected on a warm cache: an absent q throws, naming it; a q outside is empty") {
+    val g = TestGraphs.toAttributed(spark, k4plusTail)
+    Seq(CoreModel(3), TrussModel(3)).foreach { model =>
+      assert(model.maximalConnected(g, 0L).ids.toSet === Set(0L, 1L, 2L, 3L), model)
+      val e = intercept[IllegalArgumentException](model.maximalConnected(g, 99L))
+      assert(e.getMessage.contains("99"), model)
+      assert(model.maximalConnected(g, 5L).n === 0, model)
+    }
   }
 
   test("models reject degenerate k") {
