@@ -17,6 +17,8 @@ object LocAtc {
 
   final case class Result(community: Set[Long], score: Double)
 
+  private val MaxIters = 256 // cap on peeling iterations
+
   def score(lg: LocalGraph, qIdx: Int, alive: mutable.BitSet): Double = {
     if (alive.isEmpty) return 0.0
     val qAttrs = lg.text(qIdx)
@@ -28,12 +30,12 @@ object LocAtc {
     qAttrs.iterator.map(a => counts(a).toDouble * counts(a) / alive.size).sum
   }
 
-  def run(lg: LocalGraph, qIdx: Int, model: CohesionModel, maxIters: Int = 256): Result = {
+  def run(lg: LocalGraph, qIdx: Int, model: CohesionModel): Result = {
     var cur = model.maximal(lg, lg.allAlive, qIdx)
     var curScore = score(lg, qIdx, cur)
     var improved = cur.nonEmpty
     var iters = 0
-    while (improved && iters < maxIters) {
+    while (improved && iters < MaxIters) {
       improved = false
       iters += 1
       var bestNext: Option[mutable.BitSet] = None

@@ -6,7 +6,7 @@ import repro.core._
 import repro.baselines.{Acq, LocAtc, Vac}
 import repro.eval.{Harness, Metrics}
 import repro.graph._
-import repro.synthgraph.{Datasets, SynthGraph}
+import repro.synthgraph.Datasets
 
 /** Shared machinery for the per-table benchmarks (§VII).
   *
@@ -94,10 +94,6 @@ object BenchRunner {
       lambda = p.lambda, e = p.e, alpha = p.alpha, truss = truss,
       sizeBound = sizeBound, seed = p.seed)
 
-  private def deltaOn(prep: Prepared, community: Set[Long], q: Long): Double =
-    if (community.isEmpty || community == Set(q)) Double.NaN
-    else Metrics.delta(prep.lg, community, q, prep.gamma)
-
   /** Evaluate the requested methods on one query. `SEA` and `SEA-Truss` run
     * [[Sea.run]]. Every other key names a method searched on q's maximal
     * connected structure: Exact, ACQ, LocATC, VAC or E-VAC, with a `-Truss`
@@ -106,6 +102,9 @@ object BenchRunner {
     * E-VAC-Core, Exact-Truss, LocATC-Truss and VAC-Truss). Each model's
     * structure is collected once per query, and its time counts towards
     * every method searched on it; the peel under it is cached per graph.
+    * δ is scored on the graph each method searched: SEA's is its δ*, the
+    * exact mean over its community, and every other method's is taken on
+    * q's collected structure. An empty community has δ = NaN.
     * Throws `IllegalArgumentException` on an unknown key.
     */
   def evalQuery(prep: Prepared, q: Long, p: Params, methods: Seq[String]): QueryEval = {
@@ -114,7 +113,7 @@ object BenchRunner {
     sea.foreach { m =>
       val (r, t) = Harness.timeMs(
         Sea.run(prep.g, q, seaConfig(p, prep.gamma, truss = m == "SEA-Truss")))
-      out(m) = MethodResult(r.community, Double.NaN, t)
+      out(m) = MethodResult(r.community, if (r.found) r.deltaStar else Double.NaN, t)
     }
 
     def search(key: String, model: CohesionModel): (LocalGraph, Int) => MethodResult =
@@ -147,19 +146,18 @@ object BenchRunner {
           if (lg.n == 0) MethodResult(Set.empty, Double.NaN, tPre)
           else {
             val (r, t) = Harness.timeMs(run(lg, lg.indexOf(q)))
-            r.copy(timeMs = tPre + t)
+            val delta =
+              if (!r.delta.isNaN) r.delta
+              else if (r.community.isEmpty || r.community == Set(q)) Double.NaN
+              else Metrics.delta(lg, r.community, q, prep.gamma)
+            r.copy(delta = delta, timeMs = tPre + t)
           }
       }
     }
 
-    // Fill in δ (measured on the full collected graph) for every method.
-    val withDelta = out.map { case (m, r) =>
-      m -> r.copy(delta = if (r.delta.isNaN) deltaOn(prep, r.community, q) else r.delta)
-    }.toMap
-
-    val exactDelta = withDelta.get("Exact").orElse(withDelta.get("Exact-Truss"))
+    val exactDelta = out.get("Exact").orElse(out.get("Exact-Truss"))
       .map(_.delta).getOrElse(Double.NaN)
-    QueryEval(q, exactDelta, withDelta)
+    QueryEval(q, exactDelta, out.toMap)
   }
 
   /** Query nodes: coreness-eligible and, when the dataset has annotated

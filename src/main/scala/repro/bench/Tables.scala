@@ -3,7 +3,6 @@ package repro.bench
 import org.apache.spark.sql.SparkSession
 import scala.collection.mutable
 import repro.core._
-import repro.baselines.Vac
 import repro.eval.{Harness, Metrics}
 import repro.graph._
 import repro.synthgraph.Datasets

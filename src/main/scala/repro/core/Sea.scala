@@ -14,7 +14,7 @@ import repro.graph._
   *     early termination when ε ≤ δ*·e/(1+e) (Theorem 11), greedy candidate
   *     search deleting the most dissimilar node otherwise.
   *  3. *Error-based incremental sampling* (§V-C): enlarge S by Eq. 12's |ΔS|
-  *     and repeat, up to `maxRounds` (the paper's N_e ≤ 5).
+  *     and repeat, up to `MaxRounds` (the paper's N_e ≤ 5).
   *
   * Extensions: `truss = true` switches the community model to k-truss
   * (§VI-C); `sizeBound = Some((l,h))` enables size-bounded CS (§VI-B);
@@ -22,6 +22,10 @@ import repro.graph._
   * `MetaPath.project(g, P)` — a (k,P)-core is a k-core of the projection.
   */
 object Sea {
+
+  val MaxRounds = 5      // the paper's N_e ≤ 5
+  private val BlbM = 0.6 // BLB scale factor m: subsamples of size N^m
+  private val BlbR = 60  // BLB resamples per subsample
 
   final case class Config(
       k: Int = 4,
@@ -31,9 +35,6 @@ object Sea {
       lambda: Double = 0.2,    // initial sampling fraction
       e: Double = 0.02,        // user error bound
       alpha: Double = 0.05,    // CI confidence 1−α = 95%
-      blbM: Double = 0.6,      // BLB scale factor m
-      blbR: Int = 60,          // bootstrap resamples per subsample
-      maxRounds: Int = 5,      // N_e cap
       sizeBound: Option[(Int, Int)] = None,
       truss: Boolean = false,
       seed: Long = 42,
@@ -64,19 +65,16 @@ object Sea {
   }
 
   def run(g: AttributedGraph, q: Long, cfg: Config): Result = {
-    def ms(since: Long): Double = (System.nanoTime() - since) / 1e6
-
-    val model: CohesionModel =
-      if (cfg.truss) new TrussModel(cfg.k) else new CoreModel(cfg.k)
-    val n = g.nodeCount
+    val model: CohesionModel = if (cfg.truss) TrussModel(cfg.k) else CoreModel(cfg.k)
+    def withinL(size: Int): Boolean = cfg.sizeBound.forall(size >= _._1)
 
     // --- Step 1: population sizing + G_q + initial sample -----------------
-    val minNodes = cfg.sizeBound.map(_._1.toLong)
-      .getOrElse(model.minCommunitySize.toLong)
-    val minGq = Hoeffding.minGqSize(n, minNodes, cfg.eps, cfg.beta)
-    // G_q is Hoeffding-bounded and small by construction: the BFS returns it
-    // collected, and sampling, estimation and the greedy peel run on the
-    // driver from here on.
+    // A size bound's l replaces the model's minimum even when l < k+1; the
+    // |G_q| this gives is part of the output.
+    val minNodes = cfg.sizeBound.fold(model.minCommunitySize.toLong)(_._1.toLong)
+    val minGq = Hoeffding.minGqSize(g.nodeCount, minNodes, cfg.eps, cfg.beta)
+    // G_q is Hoeffding-bounded, so the BFS returns it collected; sampling,
+    // estimation and the greedy peel run on the driver from here on.
     val lg = PriorityBfs.collectGq(g, q, minGq, cfg.gamma)
     val qIdx = lg.indexOf(q)
     val fLoc = lg.distancesTo(qIdx, cfg.gamma)
@@ -87,90 +85,52 @@ object Sea {
     val sample = Sampling.weightedSample(fLoc, qIdx, initial, cfg.seed)
 
     // --- Steps 2-3: estimate, greedy-search, incrementally resample -------
+    // `best`: the candidate that met Theorem 11, else the lowest δ* in [l,h].
     val rounds = mutable.ArrayBuffer.empty[Round]
-    var bestCommunity = Set.empty[Long]
-    var bestDelta = Double.PositiveInfinity
-    var bestMoe = Double.NaN
-
-    def sizeOk(sz: Int): Boolean = cfg.sizeBound match {
-      case Some((l, h)) => sz >= l && sz <= h
-      case None         => true
-    }
-
-    var round = 0
-    var done = false
-    while (!done && round < cfg.maxRounds) {
-      round += 1
+    var best: Option[(Blb.Estimate, mutable.BitSet)] = None
+    var converged = false
+    while (rounds.lastOption.forall(_.addedSamples > 0) && rounds.size < MaxRounds) {
+      val round = rounds.size + 1
       val tRound = System.nanoTime()
-
-      var cur = model.maximal(lg, sample, qIdx)
+      // One greedy pass (§V-B): estimate the candidate, then peel the node
+      // most dissimilar to q, until a candidate meets Theorem 11 or the
+      // structure falls apart. The lowest δ* estimated feeds Eq. 12.
       var roundBest: Option[Blb.Estimate] = None
-
-      def estimateOf(alive: mutable.BitSet): Blb.Estimate = {
-        val fv = alive.iterator.filter(_ != qIdx).map(fLoc).toArray
-        Blb.estimate(fv, cfg.alpha, cfg.blbM, cfg.blbR, cfg.seed + round)
-      }
-
-      // Greedy candidate search (§V-B): peel the most dissimilar node.
-      var greedyDone = cur.isEmpty
-      while (!greedyDone && !done) {
-        val overH = cfg.sizeBound.exists { case (_, h) => cur.size > h }
-        if (!overH) {
-          val est = estimateOf(cur)
+      var cur = model.maximal(lg, sample, qIdx)
+      var intact = cur.nonEmpty
+      while (intact && !converged) {
+        // Candidates over h are peeled unestimated. Only the first candidate
+        // can be below l, and it is estimated all the same: its δ* feeds
+        // Eq. 12, so the rounds depend on it.
+        if (cfg.sizeBound.forall(cur.size <= _._2)) {
+          val fv = cur.iterator.filter(_ != qIdx).map(fLoc).toArray
+          val est = Blb.estimate(fv, cfg.alpha, BlbM, BlbR, cfg.seed + round)
           if (roundBest.forall(_.deltaStar > est.deltaStar)) roundBest = Some(est)
-          if (sizeOk(cur.size) && est.deltaStar < bestDelta) {
-            bestDelta = est.deltaStar
-            bestMoe = est.moe
-            bestCommunity = cur.iterator.map(lg.ids).toSet
-          }
-          if (sizeOk(cur.size) && Blb.satisfies(est, cfg.e)) {
-            rounds += Round(round, est.deltaStar, est.moe, 0L, ms(tRound))
-            bestDelta = est.deltaStar
-            bestMoe = est.moe
-            bestCommunity = cur.iterator.map(lg.ids).toSet
-            done = true
+          if (withinL(cur.size)) {
+            converged = Blb.satisfies(est, cfg.e)
+            if (converged || best.forall(_._1.deltaStar > est.deltaStar)) best = Some((est, cur))
           }
         }
-        if (!done) {
-          // Delete the node most dissimilar to q and re-maintain.
-          var v = -1
-          var fv = Double.NegativeInfinity
-          cur.foreach(i => if (i != qIdx && fLoc(i) > fv) { fv = fLoc(i); v = i })
-          if (v < 0) greedyDone = true
-          else {
-            val without = cur.clone(); without -= v
-            cur = model.maximal(lg, without, qIdx)
-            val belowL = cfg.sizeBound.exists { case (l, _) => cur.size < l }
-            if (cur.isEmpty || cur.size < model.minCommunitySize || belowL)
-              greedyDone = true
-          }
+        if (!converged) {
+          val worst = cur.iterator.filter(_ != qIdx).maxByOption(fLoc)(Ordering.Double.IeeeOrdering)
+          worst.foreach(v => cur = model.maximal(lg, cur.clone() -= v, qIdx))
+          intact = worst.nonEmpty && cur.size >= model.minCommunitySize && withinL(cur.size)
         }
       }
-
-      if (!done) {
-        // §V-C: enlarge S by Eq. 12 and retry (or give up when exhausted).
-        val delta = roundBest match {
-          case Some(est) =>
-            math.max(Blb.deltaSampleSize(est.moe, est.deltaStar, cfg.e, cfg.blbM, est.sBlb), 16L)
-          case None => math.max(sample.size.toLong, 16L) // no structure found — double S
-        }
-        val addable = math.min(delta, gqSize - sample.size)
-        if (addable <= 0) {
-          rounds += Round(round, roundBest.map(_.deltaStar).getOrElse(Double.NaN),
-            roundBest.map(_.moe).getOrElse(Double.NaN), 0L, ms(tRound))
-          done = true // sampling exhausted; return best effort
-        } else {
-          sample ++= Sampling.weightedSampleMore(fLoc, sample, addable.toInt,
-            cfg.seed + 1000 + round)
-          rounds += Round(round, roundBest.map(_.deltaStar).getOrElse(Double.NaN),
-            roundBest.map(_.moe).getOrElse(Double.NaN), addable, ms(tRound))
-        }
-      }
+      // §V-C: grow S by Eq. 12's |ΔS| (double it when no structure was
+      // found), capped by what G_q has left; 0 ends the search.
+      val grow = roundBest.fold(sample.size.toLong)(est =>
+        Blb.deltaSampleSize(est.moe, est.deltaStar, cfg.e, BlbM, est.sBlb))
+      val added = if (converged) 0L else math.min(gqSize - sample.size, math.max(grow, 16L))
+      if (added > 0)
+        sample ++= Sampling.weightedSampleMore(fLoc, sample, added.toInt, cfg.seed + 1000 + round)
+      val shown = if (converged) best.map(_._1) else roundBest
+      rounds += Round(round, shown.fold(Double.NaN)(_.deltaStar), shown.fold(Double.NaN)(_.moe),
+        added, (System.nanoTime() - tRound) / 1e6)
     }
 
-    val converged = bestCommunity.nonEmpty && !bestMoe.isNaN &&
-      bestMoe <= Blb.accuracyBound(bestDelta, cfg.e)
-    Result(bestCommunity, bestDelta, bestMoe, converged, rounds.toSeq,
-      gqSize, sample.size.toLong)
+    Result(best.fold(Set.empty[Long])(_._2.iterator.map(lg.ids).toSet),
+      best.fold(Double.PositiveInfinity)(_._1.deltaStar), best.fold(Double.NaN)(_._1.moe),
+      converged, rounds.toSeq, gqSize, sample.size.toLong)
   }
 }

@@ -3,7 +3,7 @@ package repro.bench
 import repro.SparkSpec
 import repro.baselines.{Acq, LocAtc, Vac}
 import repro.core.{ExactCSAG, Sea}
-import repro.eval.Harness
+import repro.eval.{Harness, Metrics}
 import repro.graph.{CohesionModel, CoreModel, LocalGraph, TrussModel}
 import repro.synthgraph.SynthGraph
 
@@ -52,6 +52,12 @@ class BenchRunnerSpec extends SparkSpec {
     assert(ev.results.keySet === keys.toSet)
     keys.foreach(m => assert(ev.results(m).community === expected(m), m))
     assert(ev.exactDelta === exactCore.delta)
+    // δ is scored on each method's searched graph; it must equal δ on G.
+    val whole = Harness.collectWhole(prep.g)
+    keys.foreach { m =>
+      val onWhole = Metrics.delta(whole, ev.results(m).community, q, prep.gamma)
+      assert(math.abs(ev.results(m).delta - onWhole) <= 1e-12, s"$m: ${ev.results(m).delta} vs $onWhole")
+    }
   }
 
   test("evalQuery: every non-SEA key returns an empty community when q is in no k-core") {

@@ -1,7 +1,6 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
-import scala.util.Random
 import repro.TestGraphs
 import repro.graph.CoreModel
 

@@ -3,7 +3,6 @@ package repro.core
 import scala.collection.mutable
 import repro.{SparkSpec, TestGraphs}
 import repro.eval.{Harness, Metrics}
-import repro.graph.CoreModel
 import repro.synthgraph.SynthGraph
 
 class SeaSpec extends SparkSpec {
@@ -14,7 +13,7 @@ class SeaSpec extends SparkSpec {
 
   private val baseCfg = Sea.Config(
     k = 5, gamma = 0.5, eps = 0.4, beta = 0.05, lambda = 0.5,
-    e = 0.10, alpha = 0.05, maxRounds = 5, seed = 7)
+    e = 0.10, alpha = 0.05, seed = 7)
 
   test("SEA returns a community containing q") {
     val r = Sea.run(planted.graph, 40L, baseCfg)
@@ -60,7 +59,7 @@ class SeaSpec extends SparkSpec {
   test("SEA reports per-round trace with at most maxRounds rounds") {
     val r = Sea.run(planted.graph, 40L, baseCfg)
     assert(r.rounds.nonEmpty)
-    assert(r.rounds.size <= baseCfg.maxRounds)
+    assert(r.rounds.size <= Sea.MaxRounds)
     assert(r.rounds.map(_.round) === (1 to r.rounds.size))
   }
 
@@ -83,6 +82,59 @@ class SeaSpec extends SparkSpec {
     val tight = Sea.run(planted.graph, 40L, baseCfg.copy(e = 0.02))
     val loose = Sea.run(planted.graph, 40L, baseCfg.copy(e = 0.25))
     assert(loose.rounds.size <= tight.rounds.size)
+  }
+
+  test("SEA output is pinned: community, estimates, flags, sizes and every round") {
+    // Recorded from an earlier implementation of Sea.run: a refactor must
+    // reproduce every field but the times, bit for bit, for the same seed.
+    final case class Pin(community: Seq[Long], deltaStar: Double, moe: Double,
+        converged: Boolean, gqSize: Long, sampleSize: Long, rounds: Seq[(Double, Double, Long)])
+    def same(got: Double, exp: Double, what: String): Unit =
+      if (exp.isNaN) assert(got.isNaN, what) else assert(got === exp, what)
+    val cases = Seq(
+      // converges in round 2
+      (40L, baseCfg) -> Pin(Seq(33, 35, 36, 38, 39, 40, 43, 44, 45, 46, 49, 54, 55, 56, 57, 58, 59),
+        0.16791626328498754, 0.01281382295064364, converged = true, 123, 77, Seq(
+          (0.1685626283705186, 0.015754973474552705, 16L),
+          (0.16791626328498754, 0.01281382295064364, 0L))),
+      // sampling exhausted
+      (10L, baseCfg.copy(e = 0.02)) -> Pin(Seq(3, 4, 5, 6, 8, 9, 10, 11, 13, 14, 15, 24, 28),
+        0.16789845366431552, 0.02634504020818996, converged = false, 123, 123, Seq(
+          (0.18448965753519664, 0.020539107702968337, 62L),
+          (0.16789845366431552, 0.02634504020818996, 0L))),
+      // round 1's sample holds no structure
+      (10L, baseCfg.copy(lambda = 0.2, e = 0.02)) -> Pin(Seq(3, 4, 5, 6, 8, 9, 10, 11, 13, 14, 15,
+        24, 28), 0.16789845366431552, 0.026163541581963823, converged = false, 123, 123, Seq(
+          (Double.NaN, Double.NaN, 24L),
+          (0.18242027335792763, 0.027767991540344095, 75L),
+          (0.16789845366431552, 0.026163541581963823, 0L))),
+      (40L, baseCfg.copy(sizeBound = Some((20, 27)), e = 0.02)) -> Pin(Seq(33, 35, 36, 37, 38, 39,
+        40, 42, 43, 44, 45, 46, 47, 49, 52, 54, 55, 56, 57, 58, 59),
+        0.16559293471350028, 0.014573079217179843, converged = false, 137, 137, Seq(
+          (0.18346761478904716, 0.024066441578771053, 69L),
+          (0.16559293471350028, 0.014573079217179843, 0L))),
+      (130L, baseCfg.copy(k = 4, truss = true)) -> Pin(Seq(127, 130, 135, 136),
+        0.07126442918542734, 0.07757567106373649, converged = false, 119, 119, Seq(
+          (0.07126442918542734, 0.07757567106373649, 57L),
+          (0.07126442918542734, 0.07757567106373649, 3L),
+          (0.07126442918542734, 0.07757567106373649, 0L))),
+    )
+    cases.foreach { case ((q, cfg), pin) =>
+      val r = Sea.run(planted.graph, q, cfg)
+      val at = s"q=$q $cfg"
+      assert(r.community === pin.community.toSet, at)
+      same(r.deltaStar, pin.deltaStar, s"$at deltaStar")
+      same(r.moe, pin.moe, s"$at moe")
+      assert(r.converged === pin.converged, at)
+      assert(r.gqSize === pin.gqSize, at)
+      assert(r.sampleSize === pin.sampleSize, at)
+      assert(r.rounds.map(_.round) === (1 to pin.rounds.size), at)
+      r.rounds.zip(pin.rounds).foreach { case (got, (d, moe, added)) =>
+        same(got.deltaStar, d, s"$at round ${got.round} deltaStar")
+        same(got.moe, moe, s"$at round ${got.round} moe")
+        assert(got.addedSamples === added, s"$at round ${got.round}")
+      }
+    }
   }
 
   // ---- size-bounded CS (§VI-B) --------------------------------------------
@@ -137,7 +189,7 @@ class SeaSpec extends SparkSpec {
   test("SEA on a graph where q has no k-core returns empty") {
     val lg = TestGraphs.local(6, Seq((0, 1), (1, 2), (2, 3), (3, 4), (4, 5)))
     val g = TestGraphs.toAttributed(spark, lg)
-    val r = Sea.run(g, 0L, Sea.Config(k = 3, eps = 0.5, lambda = 1.0, maxRounds = 2))
+    val r = Sea.run(g, 0L, Sea.Config(k = 3, eps = 0.5, lambda = 1.0))
     assert(!r.found)
     assert(!r.converged)
   }

@@ -1,6 +1,5 @@
 package repro.graph
 
-import scala.collection.mutable
 import repro.{Oracle, SparkSpec, TestGraphs}
 
 class TrussDecompositionSpec extends SparkSpec {
