@@ -31,26 +31,30 @@ object LocAtc {
   }
 
   def run(lg: LocalGraph, qIdx: Int, model: CohesionModel): Result = {
-    var cur = model.maximal(lg, lg.allAlive, qIdx)
+    val peel = model.peel(lg, lg.allAlive, qIdx)
+    val cur = peel.alive
     var curScore = score(lg, qIdx, cur)
     var improved = cur.nonEmpty
     var iters = 0
     while (improved && iters < MaxIters) {
       improved = false
       iters += 1
-      var bestNext: Option[mutable.BitSet] = None
+      // Each trial deletion is a delete/score/undo on the peel, over a
+      // snapshot of the nodes: the peel mutates `cur`.
+      var bestV = -1
       var bestScore = curScore
-      cur.foreach { v =>
+      cur.toArray.foreach { v =>
         if (v != qIdx) {
-          val without = cur.clone(); without -= v
-          val cand = model.maximal(lg, without, qIdx)
-          if (cand.nonEmpty && cand(qIdx)) {
-            val s = score(lg, qIdx, cand)
-            if (s > bestScore + 1e-12) { bestScore = s; bestNext = Some(cand) }
+          val mark = peel.mark
+          peel.delete(v)
+          if (cur.nonEmpty) {
+            val s = score(lg, qIdx, cur)
+            if (s > bestScore + 1e-12) { bestScore = s; bestV = v }
           }
+          peel.undo(mark)
         }
       }
-      bestNext.foreach { c => cur = c; curScore = bestScore; improved = true }
+      if (bestV >= 0) { peel.delete(bestV); curScore = bestScore; improved = true }
     }
     Result(cur.iterator.map(lg.ids).toSet, curScore)
   }

@@ -37,7 +37,8 @@ object Vac {
   }
 
   def run(lg: LocalGraph, qIdx: Int, model: CohesionModel, gamma: Double): Result = {
-    var cur = model.maximal(lg, lg.allAlive, qIdx)
+    val peel = model.peel(lg, lg.allAlive, qIdx)
+    val cur = peel.alive
     if (cur.isEmpty) return Result(Set.empty, Double.NaN)
     var halted = false
     while (!halted && cur.size > model.minCommunitySize) {
@@ -49,13 +50,12 @@ object Vac {
         val fv = lg.pairDistance(v, qIdx, gamma)
         val order =
           (if (fu >= fv) Seq(u, v) else Seq(v, u)).filter(_ != qIdx)
-        val next = order.iterator.map { w =>
-          val without = cur.clone(); without -= w
-          model.maximal(lg, without, qIdx)
-        }.find(c => c.nonEmpty && c(qIdx))
-        next match {
-          case Some(c) => cur = c
-          case None    => halted = true // the worst pair cannot be improved
+        // Try each endpoint, undoing a deletion that loses the structure;
+        // halt when neither can go (the worst pair cannot be improved).
+        halted = !order.exists { w =>
+          val mark = peel.mark
+          peel.delete(w)
+          cur.nonEmpty || { peel.undo(mark); false }
         }
       }
     }

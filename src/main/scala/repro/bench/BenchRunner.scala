@@ -113,7 +113,7 @@ object BenchRunner {
     sea.foreach { m =>
       val (r, t) = Harness.timeMs(
         Sea.run(prep.g, q, seaConfig(p, prep.gamma, truss = m == "SEA-Truss")))
-      out(m) = MethodResult(r.community, if (r.found) r.deltaStar else Double.NaN, t)
+      out(m) = MethodResult(r.community, r.deltaStar, t)
     }
 
     def search(key: String, model: CohesionModel): (LocalGraph, Int) => MethodResult =

@@ -33,10 +33,11 @@ object ExactCSAG {
     val None: Pruning = Pruning(p1 = false, p2 = false, p3 = false)
   }
 
-  /** `community` is empty when no connected k-core contains q. `states` is
-    * the number of explored substates (one per k-core maintenance), `capped`
-    * reports whether the state budget was exhausted (plays the role of the
-    * paper's ">8 days" entries).
+  /** `community` is empty when no connected k-core contains q. `states`
+    * counts the candidate deletions tried; a P1 duplicate (f(v) > f(v_prev))
+    * is counted without running the maintenance. `capped` reports whether
+    * the state budget was exhausted (plays the role of the paper's ">8 days"
+    * entries).
     */
   final case class Result(
       community: Set[Long],
@@ -45,10 +46,22 @@ object ExactCSAG {
       capped: Boolean,
   )
 
+  /** One search-tree node: its candidate deletions, the next to try, f of
+    * the deletion that produced it, and the trail mark of its state.
+    */
+  private final class Frame(val candidates: Array[Int], val fPrev: Double, val mark: Int) {
+    var next = 0
+  }
+
   /** Run the enumeration on a collected local graph. `f(i)` is the composite
     * distance of local node `i` to the query. `objective` defaults to the
     * paper's δ(·); E-VAC reuses the machinery with the min-max objective
     * (P2/P3 are δ-specific and must be off for a non-δ objective).
+    *
+    * The search runs on one [[repro.graph.Peel]]: each candidate deletion is
+    * applied, its subtree searched, and the deletion undone. The tree is
+    * walked with an explicit stack, so its depth is bounded by memory, not by
+    * the thread stack.
     */
   def run(
       lg: LocalGraph,
@@ -69,56 +82,68 @@ object ExactCSAG {
     }
     val score: mutable.BitSet => Double = objective.getOrElse(deltaOf)
 
-    val root = model.maximal(lg, lg.allAlive, qIdx)
-    if (root.isEmpty) return Result(Set.empty, Double.NaN, 0L, capped = false)
+    val peel = model.peel(lg, lg.allAlive, qIdx)
+    val cur = peel.alive
+    if (cur.isEmpty) return Result(Set.empty, Double.NaN, 0L, capped = false)
 
     val ok: mutable.BitSet => Boolean = accept.getOrElse(_ => true)
-    var best = if (ok(root)) root.clone() else mutable.BitSet.empty
-    var bestScore = if (ok(root)) score(root) else Double.PositiveInfinity
+    var best = if (ok(cur)) cur.clone() else mutable.BitSet.empty
+    var bestScore = if (ok(cur)) score(cur) else Double.PositiveInfinity
     var states = 0L
     var capped = false
 
-    def lowerBound(alive: mutable.BitSet): Double = {
+    // The non-q nodes by index, by ascending f (P3's bound) and by (−f, index)
+    // (P1's candidate order); stable sorts, so ties keep index order.
+    val others = (0 until lg.n).filter(_ != qIdx).toArray
+    val ascendingF = others.sortBy(f)
+    val descendingF = others.sortBy(i => -f(i))
+
+    def lowerBound(): Double = {
       // Eq. 3-4: mean of the k smallest f over non-q alive nodes.
-      val fs = alive.iterator.filter(_ != qIdx).map(f).toArray.sorted
-      if (fs.length < k) Double.PositiveInfinity
-      else fs.take(k).sum / k
+      var s = 0.0; var c = 0; var i = 0
+      while (c < k && i < ascendingF.length) {
+        val v = ascendingF(i)
+        if (cur(v)) { s += f(v); c += 1 }
+        i += 1
+      }
+      if (c < k) Double.PositiveInfinity else s / k
     }
 
-    def enumerate(alive: mutable.BitSet, fPrevDeleted: Double): Unit = {
-      if (capped) return
-      if (pruning.p3 && lowerBound(alive) >= bestScore) return
-      val d = deltaOf(alive)
-      val candidates = {
-        val base = alive.iterator.filter(i => i != qIdx)
-        val filtered = if (pruning.p2) base.filter(i => f(i) > d) else base
-        val arr = filtered.toArray
-        if (pruning.p1) arr.sortBy(i => -f(i)) else arr.sortBy(identity[Int])
+    val stack = mutable.ArrayBuffer.empty[Frame]
+    def open(fPrev: Double): Unit =
+      if (!(pruning.p3 && lowerBound() >= bestScore)) {
+        val d = deltaOf(cur)
+        val candidates = (if (pruning.p1) descendingF else others)
+          .filter(i => cur(i) && (!pruning.p2 || f(i) > d))
+        stack += new Frame(candidates, fPrev, peel.mark)
       }
-      var ci = 0
-      while (ci < candidates.length && !capped) {
-        val v = candidates(ci)
-        ci += 1
-        if (states >= stateCap) { capped = true }
-        else {
-          states += 1
-          val without = alive.clone(); without -= v
-          val child = model.maximal(lg, without, qIdx)
-          // v_m: max-f node among everything deleted in this step (incl. v).
+
+    open(Double.PositiveInfinity)
+    while (stack.nonEmpty && !capped) {
+      val fr = stack.last
+      if (fr.next == fr.candidates.length) stack.dropRightInPlace(1)
+      else if (states >= stateCap) capped = true
+      else {
+        val v = fr.candidates(fr.next)
+        fr.next += 1
+        states += 1
+        // P1: v_m ≥ f(v), so f(v) > f(v_prev) is a duplicate before any
+        // maintenance runs.
+        if (!(pruning.p1 && f(v) > fr.fPrev)) {
+          peel.undo(fr.mark)
+          peel.delete(v)
+          // v_m: the max-f node among everything this step deleted (incl. v).
           var fm = f(v)
-          alive.foreach(i => if (i != v && !child(i) && f(i) > fm) fm = f(i))
-          val duplicate = pruning.p1 && fm > fPrevDeleted
-          if (!duplicate && child.nonEmpty && child(qIdx) &&
-              child.size >= model.minCommunitySize) {
-            val cs = score(child)
-            if (cs < bestScore - 1e-12 && ok(child)) { bestScore = cs; best = child.clone() }
-            enumerate(child, f(v))
+          peel.foreachRemovedSince(fr.mark)(i => if (f(i) > fm) fm = f(i))
+          if (!(pruning.p1 && fm > fr.fPrev) && cur.nonEmpty) {
+            val cs = score(cur)
+            if (cs < bestScore - 1e-12 && ok(cur)) { bestScore = cs; best = cur.clone() }
+            open(f(v))
           }
         }
       }
     }
 
-    enumerate(root, Double.PositiveInfinity)
     Result(best.iterator.map(lg.ids).toSet,
       if (best.isEmpty) Double.NaN else bestScore, states, capped)
   }

@@ -52,6 +52,7 @@ object Sea {
       timeMs: Double,
   )
 
+  /** `deltaStar` and `moe` are NaN when no community was found. */
   final case class Result(
       community: Set[Long],
       deltaStar: Double,
@@ -96,7 +97,8 @@ object Sea {
       // most dissimilar to q, until a candidate meets Theorem 11 or the
       // structure falls apart. The lowest δ* estimated feeds Eq. 12.
       var roundBest: Option[Blb.Estimate] = None
-      var cur = model.maximal(lg, sample, qIdx)
+      val peel = model.peel(lg, sample, qIdx)
+      val cur = peel.alive
       var intact = cur.nonEmpty
       while (intact && !converged) {
         // Candidates over h are peeled unestimated. Only the first candidate
@@ -108,12 +110,12 @@ object Sea {
           if (roundBest.forall(_.deltaStar > est.deltaStar)) roundBest = Some(est)
           if (withinL(cur.size)) {
             converged = Blb.satisfies(est, cfg.e)
-            if (converged || best.forall(_._1.deltaStar > est.deltaStar)) best = Some((est, cur))
+            if (converged || best.forall(_._1.deltaStar > est.deltaStar)) best = Some((est, cur.clone()))
           }
         }
         if (!converged) {
           val worst = cur.iterator.filter(_ != qIdx).maxByOption(fLoc)(Ordering.Double.IeeeOrdering)
-          worst.foreach(v => cur = model.maximal(lg, cur.clone() -= v, qIdx))
+          worst.foreach(peel.delete)
           intact = worst.nonEmpty && cur.size >= model.minCommunitySize && withinL(cur.size)
         }
       }
@@ -130,7 +132,7 @@ object Sea {
     }
 
     Result(best.fold(Set.empty[Long])(_._2.iterator.map(lg.ids).toSet),
-      best.fold(Double.PositiveInfinity)(_._1.deltaStar), best.fold(Double.NaN)(_._1.moe),
+      best.fold(Double.NaN)(_._1.deltaStar), best.fold(Double.NaN)(_._1.moe),
       converged, rounds.toSeq, gqSize, sample.size.toLong)
   }
 }

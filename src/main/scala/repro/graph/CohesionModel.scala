@@ -4,11 +4,13 @@ import org.apache.spark.sql.DataFrame
 import scala.collection.mutable
 
 /** A structure-cohesiveness model (§II-A / §VI-C): given a set of alive
-  * nodes, compute the maximal connected cohesive substructure containing `q`.
-  * Used by the exact enumeration (§IV-B, "k-core maintenance" per state) and
-  * by SEA's greedy candidate search (§V-B). On the distributed graph the
-  * model peels `G` with Spark and collects q's maximal connected structure
-  * (§IV-A), which Exact and the baselines then search on the driver.
+  * nodes, find the maximal connected cohesive substructure containing `q`,
+  * and maintain it under node deletions ([[Peel]]). The maintenance is the
+  * exact enumeration's per-state "k-core maintenance" (§IV-B); SEA's greedy
+  * candidate search (§V-B) and the LocATC/VAC peels use it too. On the
+  * distributed graph the model peels `G` with Spark and collects q's maximal
+  * connected structure (§IV-A), which Exact and the baselines then search on
+  * the driver.
   */
 trait CohesionModel {
 
@@ -28,20 +30,133 @@ trait CohesionModel {
   def maximalConnected(g: AttributedGraph, q: Long): LocalGraph =
     PriorityBfs.componentOf(g, g.peeledAdjacency(this), q)
 
-  /** Maximal connected cohesive subgraph of `g[alive]` containing `q`.
-    * Returns an empty set when `q` cannot be retained.
-    * Must not mutate `alive`.
+  /** q's maximal connected cohesive subgraph of `g[alive]`, maintained under
+    * deletions by the returned [[Peel]]. Does not mutate `alive`.
     */
-  def maximal(g: LocalGraph, alive: mutable.BitSet, q: Int): mutable.BitSet
+  def peel(g: LocalGraph, alive: mutable.BitSet, q: Int): Peel
+
+  /** Maximal connected cohesive subgraph of `g[alive]` containing `q`: a
+    * fresh peel's structure. Empty when `q` cannot be retained. Does not
+    * mutate `alive`.
+    */
+  final def maximal(g: LocalGraph, alive: mutable.BitSet, q: Int): mutable.BitSet =
+    peel(g, alive, q).alive
 
   /** Minimum node count of a valid community under this model. */
   def minCommunitySize: Int
 }
 
+/** q's maximal connected cohesive structure on a collected graph, kept up to
+  * date under node deletions (Wang & Cheng, VLDB 2012; Huang et al.,
+  * SIGMOD 2014). `delete(v)` removes `v`, cascades the model's peel and drops
+  * whatever leaves q's component; once q goes, the structure is empty, so it
+  * is always either empty or a valid community. Every removal is pushed on a
+  * trail, and `undo(mark)` pops back to the state at `mark`: a search tree
+  * applies a branch, descends and pops back, with no copy per state.
+  */
+abstract class Peel(val g: LocalGraph, val q: Int, trailCapacity: Int) {
+
+  /** The current structure. Updated in place: read it, clone it to keep it. */
+  val alive: mutable.BitSet = mutable.BitSet.empty
+  // `alive` as an array, for the membership tests on the hot paths.
+  protected val in = new Array[Boolean](g.n)
+
+  // A removed node v is pushed as ~v (negative); a model pushes its own
+  // removals (the truss model's edges) as non-negative entries.
+  private val trail = new Array[Int](trailCapacity)
+  private var top = 0
+  private val seen = new Array[Int](g.n) // BFS stamps
+  private var epoch = 0
+  private val queue = new Array[Int](g.n)
+
+  def mark: Int = top
+
+  /** Removes `v` (which must be in the structure) and everything that then
+    * falls out of q's maximal connected structure.
+    */
+  def delete(v: Int): Unit = {
+    require(alive(v), s"node $v is not in the structure")
+    removeNode(v)
+    cascade()
+    settle()
+  }
+
+  /** Pops back to the state at `mark`, undoing removals in reverse order. */
+  def undo(mark: Int): Unit = while (top > mark) { top -= 1; restore(trail(top)) }
+
+  /** Calls `fn` on every node removed since `mark`. */
+  def foreachRemovedSince(mark: Int)(fn: Int => Unit): Unit = {
+    var i = mark
+    while (i < top) { if (trail(i) < 0) fn(~trail(i)); i += 1 }
+  }
+
+  protected def push(entry: Int): Unit = { trail(top) = entry; top += 1 }
+
+  /** Takes `u` out of the structure and pushes its removal. */
+  protected def dropNode(u: Int): Unit = { in(u) = false; alive -= u; push(~u) }
+
+  /** Puts `u` back into the structure. */
+  protected def addNode(u: Int): Unit = { in(u) = true; alive += u }
+
+  /** Reverts one trail entry. */
+  protected def restore(entry: Int): Unit
+
+  /** Whether `g.adj(u)(j)` is still linked to `u` inside the structure. */
+  protected def linked(u: Int, j: Int): Boolean
+
+  /** Removes `u` from the structure, queueing what may have to follow. */
+  protected def removeNode(u: Int): Unit
+
+  /** Peels what the last removals left below the model's threshold. */
+  protected def cascade(): Unit
+
+  /** Drops every node outside q's component, and everything once q is gone.
+    * Removing a whole component changes no degree or support inside q's.
+    */
+  private def settle(): Unit = {
+    var reached = 0
+    if (in(q)) {
+      epoch += 1
+      seen(q) = epoch; queue(0) = q; reached = 1
+      var head = 0
+      while (head < reached) {
+        val u = queue(head); head += 1
+        val a = g.adj(u); var j = 0
+        while (j < a.length) {
+          val w = a(j)
+          if (seen(w) != epoch && linked(u, j)) {
+            seen(w) = epoch; queue(reached) = w; reached += 1
+          }
+          j += 1
+        }
+      }
+    }
+    if (reached < alive.size) {
+      var c = 0
+      alive.foreach(u => if (reached == 0 || seen(u) != epoch) { queue(c) = u; c += 1 })
+      var i = 0
+      while (i < c) { if (in(queue(i))) removeNode(queue(i)); i += 1 }
+      cascade() // touches no live node: it only drains what the drop queued
+    }
+  }
+
+  /** Finishes a subclass's constructor: peels the start set down to q's
+    * maximal connected structure, which becomes the base `undo` cannot pass.
+    */
+  protected def build(): Unit = {
+    alive.foreach(in(_) = true)
+    cascade()
+    settle()
+    top = 0
+  }
+}
+
 /** Connected k-core (Definitions 2–3): peel nodes with degree < k, then take
   * q's connected component. One peel + one component pass suffices: removing
-  * other components does not change degrees inside q's component. A case
-  * class, so that equal `k` share one cached peel per graph.
+  * other components does not change degrees inside q's component. The peel
+  * keeps each node's degree within the structure; a deletion decrements the
+  * neighbours of each removed node, and undo re-increments them in reverse
+  * order. A case class, so that equal `k` share one cached peel per graph.
   */
 final case class CoreModel(k: Int) extends CohesionModel {
   require(k >= 1, "k-core requires k >= 1")
@@ -50,36 +165,57 @@ final case class CoreModel(k: Int) extends CohesionModel {
 
   override def peelEdges(edges: DataFrame): DataFrame = CoreDecomposition.kCoreEdges(edges, k)
 
-  override def maximal(g: LocalGraph, alive: mutable.BitSet, q: Int): mutable.BitSet = {
-    if (!alive(q)) return mutable.BitSet.empty
-    val cur = alive.clone()
-    val deg = new Array[Int](g.n)
-    cur.foreach(i => deg(i) = g.degreeWithin(i, cur))
-    val queue = mutable.Queue.empty[Int]
-    cur.foreach(i => if (deg(i) < k) queue += i)
-    while (queue.nonEmpty) {
-      val u = queue.dequeue()
-      if (cur(u)) {
-        cur -= u
-        g.adj(u).foreach { v =>
-          if (cur(v)) {
-            deg(v) -= 1
-            if (deg(v) < k) queue += v
-          }
+  override def peel(g: LocalGraph, alive: mutable.BitSet, q: Int): Peel = new CorePeel(g, alive, q)
+
+  private final class CorePeel(g: LocalGraph, start: mutable.BitSet, q: Int)
+      extends Peel(g, q, g.n) {
+    // A removed node's degree stays frozen until undo brings it back.
+    private val deg = new Array[Int](g.n)
+    private val pending = new Array[Int](g.n)
+    private var pend = 0
+
+    alive ++= start
+    alive.foreach { u =>
+      deg(u) = g.degreeWithin(u, alive)
+      if (deg(u) < k) { pending(pend) = u; pend += 1 }
+    }
+    build()
+
+    override protected def linked(u: Int, j: Int): Boolean = in(g.adj(u)(j))
+
+    override protected def removeNode(u: Int): Unit = {
+      dropNode(u)
+      val a = g.adj(u); var j = 0
+      while (j < a.length) {
+        val w = a(j)
+        if (in(w)) {
+          deg(w) -= 1
+          if (deg(w) == k - 1) { pending(pend) = w; pend += 1 }
         }
+        j += 1
       }
     }
-    if (!cur(q)) mutable.BitSet.empty else g.componentOf(q, cur)
+
+    override protected def cascade(): Unit =
+      while (pend > 0) { pend -= 1; val u = pending(pend); if (in(u)) removeNode(u) }
+
+    override protected def restore(entry: Int): Unit = {
+      val u = ~entry
+      val a = g.adj(u); var j = 0
+      while (j < a.length) { if (in(a(j))) deg(a(j)) += 1; j += 1 }
+      addNode(u)
+    }
   }
 }
 
 /** Connected k-truss (§VI-C): every edge lies in ≥ k−2 triangles within the
-  * truss; community = q's connected component over surviving edges. We
-  * recompute the edge-support fixpoint from scratch per call. The candidate
-  * graphs are SEA-Truss's collected `G_q[S]` and, for Exact-Truss,
-  * LocATC-Truss and VAC-Truss, q's whole collected maximal connected k-truss;
-  * at lite scale both stay small enough for that. A case class, so that
-  * equal `k` share one cached peel per graph.
+  * truss; community = q's connected component over surviving edges. The peel
+  * keeps each edge's triangle support within the structure and deletes edges
+  * by cascade; a node is in the structure while it keeps an edge in q's
+  * component. The truss is unique, so the cascade order does not change the
+  * result. A surviving edge lies in ≥ k−2 triangles, so a non-empty structure
+  * holds at least k nodes. A case class, so that equal `k` share one cached
+  * peel per graph.
   */
 final case class TrussModel(k: Int) extends CohesionModel {
   require(k >= 2, "k-truss requires k >= 2")
@@ -88,38 +224,101 @@ final case class TrussModel(k: Int) extends CohesionModel {
 
   override def peelEdges(edges: DataFrame): DataFrame = TrussDecomposition.kTrussEdges(edges, k)
 
-  override def maximal(g: LocalGraph, alive: mutable.BitSet, q: Int): mutable.BitSet = {
-    if (!alive(q)) return mutable.BitSet.empty
-    // Edge set as adjacency of mutable sets for O(1) membership.
-    val nbr = Array.fill(g.n)(mutable.Set.empty[Int])
-    alive.foreach { u =>
-      g.adj(u).foreach(v => if (alive(v) && v > u) { nbr(u) += v; nbr(v) += u })
+  override def peel(g: LocalGraph, alive: mutable.BitSet, q: Int): Peel = new TrussPeel(g, alive, q)
+
+  private final class TrussPeel(g: LocalGraph, start: mutable.BitSet, q: Int)
+      extends Peel(g, q, g.n + g.edgeCount.toInt) {
+    // Edge ids: eid(u)(j) names the edge to g.adj(u)(j); ends(2e), ends(2e+1)
+    // are its endpoints.
+    private val eid: Array[Array[Int]] = g.adj.map(a => new Array[Int](a.length))
+    private val ends: Array[Int] = {
+      val at = mutable.LongMap.empty[Int]
+      val b = mutable.ArrayBuilder.make[Int]
+      for (u <- 0 until g.n; j <- g.adj(u).indices) {
+        val v = g.adj(u)(j)
+        eid(u)(j) = at.getOrElseUpdate(math.min(u, v).toLong << 32 | math.max(u, v), {
+          b += u; b += v; at.size
+        })
+      }
+      b.result()
     }
-    var changed = true
-    while (changed) {
-      changed = false
-      val toDrop = mutable.ArrayBuffer.empty[(Int, Int)]
-      alive.foreach { u =>
-        nbr(u).foreach { v =>
-          if (v > u) {
-            val support = nbr(u).count(w => nbr(v).contains(w))
-            if (support < k - 2) toDrop += ((u, v))
-          }
+    private val m = ends.length / 2
+    // A removed edge's support stays frozen until undo brings it back.
+    private val live = new Array[Boolean](m)
+    private val support = new Array[Int](m)
+    private val edgesAt = new Array[Int](g.n) // live edges per node
+    private val pending = new Array[Int](m)
+    private var pend = 0
+    private val mate = new Array[Int](g.n) // triangle search: u's edge to w
+    private val mateStamp = new Array[Int](g.n)
+    private var mateEpoch = 0
+
+    alive ++= start
+    (0 until m).foreach { e =>
+      val u = ends(2 * e); val v = ends(2 * e + 1)
+      if (alive(u) && alive(v)) {
+        support(e) = triangles(u, v, +1)
+        live(e) = true; edgesAt(u) += 1; edgesAt(v) += 1
+      }
+    }
+    alive.filterInPlace(edgesAt(_) > 0)
+    (0 until m).foreach(e => if (live(e) && support(e) < k - 2) { pending(pend) = e; pend += 1 })
+    build()
+
+    /** Adds `delta` to the support of both other edges of every live
+      * triangle on `u`–`v`; returns how many there are. A support that drops
+      * below k−2 is queued.
+      */
+    private def triangles(u: Int, v: Int, delta: Int): Int = {
+      mateEpoch += 1
+      val au = g.adj(u); var j = 0
+      while (j < au.length) {
+        val e = eid(u)(j)
+        if (live(e)) { mate(au(j)) = e; mateStamp(au(j)) = mateEpoch }
+        j += 1
+      }
+      var count = 0
+      val av = g.adj(v); j = 0
+      while (j < av.length) {
+        val w = av(j); val e2 = eid(v)(j)
+        if (live(e2) && mateStamp(w) == mateEpoch) {
+          val e1 = mate(w)
+          support(e1) += delta; support(e2) += delta; count += 1
+          if (delta < 0 && support(e1) == k - 3) { pending(pend) = e1; pend += 1 }
+          if (delta < 0 && support(e2) == k - 3) { pending(pend) = e2; pend += 1 }
         }
+        j += 1
       }
-      if (toDrop.nonEmpty) {
-        changed = true
-        toDrop.foreach { case (u, v) => nbr(u) -= v; nbr(v) -= u }
+      count
+    }
+
+    private def removeEdge(e: Int): Unit = {
+      val u = ends(2 * e); val v = ends(2 * e + 1)
+      live(e) = false
+      push(e)
+      triangles(u, v, -1)
+      edgesAt(u) -= 1; edgesAt(v) -= 1
+      if (edgesAt(u) == 0) dropNode(u)
+      if (edgesAt(v) == 0) dropNode(v)
+    }
+
+    override protected def linked(u: Int, j: Int): Boolean = live(eid(u)(j))
+
+    override protected def removeNode(u: Int): Unit = {
+      val ids = eid(u); var j = 0
+      while (j < ids.length) { if (live(ids(j))) removeEdge(ids(j)); j += 1 }
+    }
+
+    override protected def cascade(): Unit =
+      while (pend > 0) { pend -= 1; val e = pending(pend); if (live(e)) removeEdge(e) }
+
+    override protected def restore(entry: Int): Unit =
+      if (entry < 0) addNode(~entry)
+      else {
+        val u = ends(2 * entry); val v = ends(2 * entry + 1)
+        triangles(u, v, +1)
+        edgesAt(u) += 1; edgesAt(v) += 1
+        live(entry) = true
       }
-    }
-    // Connected component of q over surviving edges.
-    if (nbr(q).isEmpty) return mutable.BitSet.empty
-    val seen = mutable.BitSet(q)
-    val queue = mutable.Queue(q)
-    while (queue.nonEmpty) {
-      val u = queue.dequeue()
-      nbr(u).foreach(v => if (!seen(v)) { seen += v; queue += v })
-    }
-    if (seen.size < minCommunitySize) mutable.BitSet.empty else seen
   }
 }

@@ -1,8 +1,10 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import scala.collection.mutable
 import repro.TestGraphs
-import repro.graph.CoreModel
+import repro.core.ExactCSAG.Pruning
+import repro.graph.{CoreModel, TrussModel}
 
 class ExactSpec extends AnyFunSuite {
 
@@ -171,5 +173,86 @@ class ExactSpec extends AnyFunSuite {
       objective = Some(obj))
     val rDefault = ExactCSAG.run(lg, 0, f, new CoreModel(2), ExactCSAG.Pruning.OnlyP1)
     assert(r.community.size <= rDefault.community.size)
+  }
+
+  // ---- deep search trees ---------------------------------------------------
+
+  test("a search tree as deep as a 3000-node path runs on a 256 KB thread stack") {
+    val n = 3000
+    val lg = TestGraphs.local(n, (0 until n - 1).map(i => (i, i + 1)))
+    // f rises away from q = 0, so the first branch peels the path from its far
+    // end, one node per level, down to the optimum {q, 1}. The cap stops the
+    // search soon after; the branches it leaves are shallow.
+    val f = Array.tabulate(n)(i => i.toDouble / (n - 1))
+    var outcome: Either[Throwable, ExactCSAG.Result] = null
+    val t = new Thread(null, () => outcome =
+      try Right(ExactCSAG.run(lg, 0, f, CoreModel(1), stateCap = 2L * n))
+      catch { case e: StackOverflowError => Left(e) }, "deep-exact", 256L * 1024)
+    t.start()
+    t.join()
+    val r = outcome.fold(e => fail(s"enumeration overflowed the stack: $e"), identity)
+    assert(r.community === Set(0L, 1L))
+    assert(r.delta === f(1))
+    assert(r.capped)
+  }
+
+  // ---- pinned output -------------------------------------------------------
+
+  private def outcome(r: ExactCSAG.Result): (Set[Long], Double, Long, Boolean) =
+    (r.community, r.delta, r.states, r.capped)
+
+  // Recorded with the enumeration that re-peeled a cloned graph per state;
+  // the apply/undo enumeration must reproduce every field exactly.
+  test("Exact output is pinned: community, delta, states and capped") {
+    val pinned = Seq(
+    (11, CoreModel(3), Pruning.All, (Set(0L, 3L, 4L, 5L, 8L, 11L), 0.3470057461877813, 1725L, false)),
+    (11, CoreModel(3), Pruning.NoP3, (Set(0L, 3L, 4L, 5L, 8L, 11L), 0.3470057461877813, 1759L, false)),
+    (11, CoreModel(3), Pruning.OnlyP1, (Set(0L, 3L, 4L, 5L, 8L, 11L), 0.3470057461877813, 4000L, true)),
+    (11, CoreModel(3), Pruning.None, (Set(0L, 5L, 8L, 9L, 10L, 11L), 0.36191340028096886, 4000L, true)),
+    (11, TrussModel(4), Pruning.All, (Set(0L, 2L, 5L, 8L, 11L), 0.37330692488336725, 308L, false)),
+    (11, TrussModel(4), Pruning.NoP3, (Set(0L, 2L, 5L, 8L, 11L), 0.37330692488336725, 317L, false)),
+    (11, TrussModel(4), Pruning.OnlyP1, (Set(0L, 2L, 5L, 8L, 11L), 0.37330692488336725, 2653L, false)),
+    (11, TrussModel(4), Pruning.None, (Set(0L, 5L, 9L, 11L), 0.40440948705099716, 4000L, true)),
+    (12, CoreModel(3), Pruning.All, (Set(0L, 1L, 2L, 3L, 6L, 8L), 0.4691847435581045, 1394L, false)),
+    (12, CoreModel(3), Pruning.NoP3, (Set(0L, 1L, 2L, 3L, 6L, 8L), 0.4691847435581045, 1405L, false)),
+    (12, CoreModel(3), Pruning.OnlyP1, (Set(0L, 1L, 2L, 3L, 6L, 8L), 0.4691847435581045, 4000L, true)),
+    (12, CoreModel(3), Pruning.None, (Set(0L, 3L, 6L, 8L, 11L), 0.538031878780808, 4000L, true)),
+    (12, TrussModel(4), Pruning.All, (Set(0L, 2L, 3L, 6L), 0.5201485539249192, 34L, false)),
+    (12, TrussModel(4), Pruning.NoP3, (Set(0L, 2L, 3L, 6L), 0.5201485539249192, 39L, false)),
+    (12, TrussModel(4), Pruning.OnlyP1, (Set(0L, 2L, 3L, 6L), 0.5201485539249192, 90L, false)),
+    (12, TrussModel(4), Pruning.None, (Set(0L, 2L, 3L, 6L), 0.5201485539249192, 491L, false)),
+    (13, CoreModel(3), Pruning.All, (Set(0L, 1L, 5L, 7L, 8L, 9L, 12L, 13L), 0.43378439378151057, 947L, false)),
+    (13, CoreModel(3), Pruning.NoP3, (Set(0L, 1L, 5L, 7L, 8L, 9L, 12L, 13L), 0.43378439378151057, 953L, false)),
+    (13, CoreModel(3), Pruning.OnlyP1, (Set(0L, 1L, 5L, 7L, 8L, 9L, 12L, 13L), 0.43378439378151057, 4000L, true)),
+    (13, CoreModel(3), Pruning.None, (Set(0L, 5L, 7L, 8L, 9L, 12L, 13L), 0.4352157508159434, 4000L, true)),
+    (13, TrussModel(4), Pruning.All, (Set(0L, 3L, 5L, 13L), 0.43780182554209324, 174L, false)),
+    (13, TrussModel(4), Pruning.NoP3, (Set(0L, 3L, 5L, 13L), 0.43780182554209324, 176L, false)),
+    (13, TrussModel(4), Pruning.OnlyP1, (Set(0L, 3L, 5L, 13L), 0.43780182554209324, 980L, false)),
+    (13, TrussModel(4), Pruning.None, (Set(0L, 3L, 5L, 13L), 0.43780182554209324, 4000L, true)),
+    (14, CoreModel(3), Pruning.All, (Set(0L, 2L, 4L, 5L, 8L, 9L, 12L), 0.494559069884164, 1114L, false)),
+    (14, CoreModel(3), Pruning.NoP3, (Set(0L, 2L, 4L, 5L, 8L, 9L, 12L), 0.494559069884164, 1144L, false)),
+    (14, CoreModel(3), Pruning.OnlyP1, (Set(0L, 2L, 4L, 5L, 8L, 9L, 12L), 0.494559069884164, 4000L, true)),
+    (14, CoreModel(3), Pruning.None, (Set(0L, 4L, 6L, 8L, 11L, 12L), 0.5096744022712549, 4000L, true)),
+    (14, TrussModel(4), Pruning.All, (Set(0L, 2L, 3L, 4L, 5L, 8L, 9L), 0.5309320144973468, 122L, false)),
+    (14, TrussModel(4), Pruning.NoP3, (Set(0L, 2L, 3L, 4L, 5L, 8L, 9L), 0.5309320144973468, 129L, false)),
+    (14, TrussModel(4), Pruning.OnlyP1, (Set(0L, 2L, 3L, 4L, 5L, 8L, 9L), 0.5309320144973468, 1029L, false)),
+    (14, TrussModel(4), Pruning.None, (Set(0L, 2L, 4L, 5L, 6L, 8L, 9L), 0.5342703356384564, 4000L, true)),
+    )
+    pinned.foreach { case (seed, model, pruning, expected) =>
+      val lg = TestGraphs.randomLocal(14, 0.5, seed)
+      val r = ExactCSAG.run(lg, 0, lg.distancesTo(0, 0.5), model, pruning, stateCap = 4000)
+      assert(outcome(r) === expected, s"seed=$seed $model $pruning")
+    }
+    val lg = TestGraphs.randomLocal(14, 0.5, 11)
+    val f = lg.distancesTo(0, 0.5)
+    // E-VAC's min-max objective, and Table VI's size filter.
+    val minMax: mutable.BitSet => Double = a =>
+      (for (i <- a.iterator; j <- a.iterator if i < j) yield lg.pairDistance(i, j, 0.5))
+        .foldLeft(0.0)(math.max)
+    assert(outcome(ExactCSAG.run(lg, 0, f, CoreModel(3), Pruning.OnlyP1, 4000, Some(minMax))) ===
+      (Set(0L, 4L, 6L, 9L), 0.5587769192122398, 4000L, true))
+    assert(outcome(ExactCSAG.run(lg, 0, f, CoreModel(3), Pruning.OnlyP1, 4000,
+      accept = Some(a => a.size >= 6 && a.size <= 8))) ===
+      (Set(0L, 3L, 4L, 5L, 8L, 11L), 0.3470057461877813, 4000L, true))
   }
 }

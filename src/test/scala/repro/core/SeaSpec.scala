@@ -192,6 +192,7 @@ class SeaSpec extends SparkSpec {
     val r = Sea.run(g, 0L, Sea.Config(k = 3, eps = 0.5, lambda = 1.0))
     assert(!r.found)
     assert(!r.converged)
+    assert(r.deltaStar.isNaN)
   }
 
   test("SEA rejects a query node absent from the graph, naming it") {
@@ -205,6 +206,7 @@ class SeaSpec extends SparkSpec {
     val r = Sea.run(g, 4L, baseCfg.copy(k = 1))
     assert(!r.found)
     assert(!r.converged)
+    assert(r.deltaStar.isNaN)
     assert(r.gqSize === 1)
   }
 }

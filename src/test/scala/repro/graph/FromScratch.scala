@@ -1,0 +1,76 @@
+package repro.graph
+
+import scala.collection.mutable
+
+/** From-scratch maximal connected structures: each call clones `alive`,
+  * recomputes every degree or support and re-runs the component search.
+  * Test oracles for the incremental [[Peel]]s.
+  */
+object FromScratch {
+
+  /** q's connected k-core within `alive`: peel degree < k, take q's component. */
+  def core(g: LocalGraph, alive: mutable.BitSet, q: Int, k: Int): mutable.BitSet = {
+    if (!alive(q)) return mutable.BitSet.empty
+    val cur = alive.clone()
+    val deg = new Array[Int](g.n)
+    cur.foreach(i => deg(i) = g.degreeWithin(i, cur))
+    val queue = mutable.Queue.empty[Int]
+    cur.foreach(i => if (deg(i) < k) queue += i)
+    while (queue.nonEmpty) {
+      val u = queue.dequeue()
+      if (cur(u)) {
+        cur -= u
+        g.adj(u).foreach { v =>
+          if (cur(v)) {
+            deg(v) -= 1
+            if (deg(v) < k) queue += v
+          }
+        }
+      }
+    }
+    if (!cur(q)) mutable.BitSet.empty else g.componentOf(q, cur)
+  }
+
+  /** q's connected k-truss within `alive`: recompute every edge support to a
+    * fixpoint, take q's component over the surviving edges; empty when q
+    * keeps no edge or the component has fewer than k nodes.
+    */
+  def truss(g: LocalGraph, alive: mutable.BitSet, q: Int, k: Int): mutable.BitSet = {
+    if (!alive(q)) return mutable.BitSet.empty
+    val nbr = Array.fill(g.n)(mutable.Set.empty[Int])
+    alive.foreach { u =>
+      g.adj(u).foreach(v => if (alive(v) && v > u) { nbr(u) += v; nbr(v) += u })
+    }
+    var changed = true
+    while (changed) {
+      changed = false
+      val toDrop = mutable.ArrayBuffer.empty[(Int, Int)]
+      alive.foreach { u =>
+        nbr(u).foreach { v =>
+          if (v > u) {
+            val support = nbr(u).count(w => nbr(v).contains(w))
+            if (support < k - 2) toDrop += ((u, v))
+          }
+        }
+      }
+      if (toDrop.nonEmpty) {
+        changed = true
+        toDrop.foreach { case (u, v) => nbr(u) -= v; nbr(v) -= u }
+      }
+    }
+    if (nbr(q).isEmpty) return mutable.BitSet.empty
+    val seen = mutable.BitSet(q)
+    val queue = mutable.Queue(q)
+    while (queue.nonEmpty) {
+      val u = queue.dequeue()
+      nbr(u).foreach(v => if (!seen(v)) { seen += v; queue += v })
+    }
+    if (seen.size < k) mutable.BitSet.empty else seen
+  }
+
+  /** The oracle for `model`'s structure. */
+  def of(model: CohesionModel): (LocalGraph, mutable.BitSet, Int) => mutable.BitSet = model match {
+    case CoreModel(k)  => core(_, _, _, k)
+    case TrussModel(k) => truss(_, _, _, k)
+  }
+}
