@@ -20,14 +20,18 @@ object Vac {
 
   final case class Result(community: Set[Long], minMax: Double, capped: Boolean = false)
 
-  def maxPairwise(lg: LocalGraph, alive: mutable.BitSet, gamma: Double): (Int, Int, Double) = {
+  /** The most distant pair of `alive` under `dist` and its distance; the
+    * pair is (-1, -1) and the distance 0 when `alive` has fewer than two
+    * nodes.
+    */
+  def maxPairwise(alive: mutable.BitSet, dist: (Int, Int) => Double): (Int, Int, Double) = {
     var bi = -1; var bj = -1; var bd = -1.0
     val nodes = alive.toArray
     var i = 0
     while (i < nodes.length) {
       var j = i + 1
       while (j < nodes.length) {
-        val d = lg.pairDistance(nodes(i), nodes(j), gamma)
+        val d = dist(nodes(i), nodes(j))
         if (d > bd) { bd = d; bi = nodes(i); bj = nodes(j) }
         j += 1
       }
@@ -36,20 +40,20 @@ object Vac {
     (bi, bj, math.max(bd, 0.0))
   }
 
-  def run(lg: LocalGraph, qIdx: Int, model: CohesionModel, gamma: Double): Result = {
+  /** `f(i)` is local node `i`'s distance to q. */
+  def run(lg: LocalGraph, qIdx: Int, f: Array[Double], model: CohesionModel, gamma: Double): Result = {
+    val dist: (Int, Int) => Double = lg.pairDistance(_, _, gamma)
     val peel = model.peel(lg, lg.allAlive, qIdx)
     val cur = peel.alive
     if (cur.isEmpty) return Result(Set.empty, Double.NaN)
     var halted = false
     while (!halted && cur.size > model.minCommunitySize) {
-      val (u, v, _) = maxPairwise(lg, cur, gamma)
+      val (u, v, _) = maxPairwise(cur, dist)
       if (u < 0) halted = true
       else {
         // Prefer deleting the endpoint farther from q; q is never deleted.
-        val fu = lg.pairDistance(u, qIdx, gamma)
-        val fv = lg.pairDistance(v, qIdx, gamma)
         val order =
-          (if (fu >= fv) Seq(u, v) else Seq(v, u)).filter(_ != qIdx)
+          (if (f(u) >= f(v)) Seq(u, v) else Seq(v, u)).filter(_ != qIdx)
         // Try each endpoint, undoing a deletion that loses the structure;
         // halt when neither can go (the worst pair cannot be improved).
         halted = !order.exists { w =>
@@ -59,36 +63,23 @@ object Vac {
         }
       }
     }
-    val (_, _, mm) = maxPairwise(lg, cur, gamma)
+    val (_, _, mm) = maxPairwise(cur, dist)
     Result(cur.iterator.map(lg.ids).toSet, mm)
   }
 
+  /** E-VAC; `f(i)` is local node `i`'s distance to q (P1's order). */
   def runExact(
       lg: LocalGraph,
       qIdx: Int,
+      f: Array[Double],
       model: CohesionModel,
       gamma: Double,
       stateCap: Long,
   ): Result = {
-    val f = lg.distancesTo(qIdx, gamma)
     // The min-max objective is evaluated on every explored state — memoize
     // the pairwise distances once instead of recomputing set intersections.
     val dist = Array.tabulate(lg.n, lg.n)((i, j) => lg.pairDistance(i, j, gamma))
-    val objective: mutable.BitSet => Double = { alive =>
-      val nodes = alive.toArray
-      var worst = 0.0
-      var i = 0
-      while (i < nodes.length) {
-        var j = i + 1
-        while (j < nodes.length) {
-          val d = dist(nodes(i))(nodes(j))
-          if (d > worst) worst = d
-          j += 1
-        }
-        i += 1
-      }
-      worst
-    }
+    val objective: mutable.BitSet => Double = alive => maxPairwise(alive, (i, j) => dist(i)(j))._3
     val r = ExactCSAG.run(lg, qIdx, f, model,
       ExactCSAG.Pruning.OnlyP1, stateCap, Some(objective))
     Result(r.community, r.delta, r.capped)

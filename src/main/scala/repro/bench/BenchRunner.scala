@@ -46,13 +46,7 @@ object BenchRunner {
       gamma: Double,
       raw: AttributedGraph, // un-projected graph (== g for homogeneous)
       circles: Set[Long] = Set.empty, // annotated (HA-GT) members
-  ) {
-    /** HA-GT community of a query: its block's annotated inner circle. */
-    def groundTruthOf(q: Long): Set[Long] = {
-      val c = membership(q)
-      membership.collect { case (n, cc) if cc == c && circles(n) => n }.toSet
-    }
-  }
+  )
 
   def prepareHomo(spark: SparkSession, name: String): Prepared = {
     val gen = Datasets.homo(spark, name)
@@ -68,31 +62,30 @@ object BenchRunner {
       Datasets.gammaFor(name), gen.graph, gen.circles)
   }
 
-  /** Default benchmark parameters. Deviations from the paper's defaults are
-    * documented in EXPERIMENTS.md: ε=0.2 (paper 0.05) brings the Hoeffding
-    * minimum |G_q| down to 547–700 nodes at k=6, below |V| on every lite
-    * graph except facebook-lite (n=400, where G_q = G); queries default to 15
-    * (paper 200) for the single-machine time budget. e=0.02 and 1−α=95% are
-    * the paper's defaults.
+  /** Benchmark parameters the tables set per table. The method parameters
+    * all tables share are constants below, and `Sea` fixes α and β; the
+    * deviations from the paper's defaults are documented in EXPERIMENTS.md:
+    * queries default to 15 (paper 200) for the single-machine time budget.
     */
   final case class Params(
       k: Int = 6,
       queries: Int = 15,
-      e: Double = 0.02,
-      eps: Double = 0.2,
-      beta: Double = 0.05,
-      lambda: Double = 0.2,
-      alpha: Double = 0.05,
       exactCap: Long = 300_000L,
       evacCap: Long = 100_000L,
-      seed: Long = 2024,
   )
+
+  // ε=0.2 (paper 0.05) brings the Hoeffding minimum |G_q| down to 547–700
+  // nodes at k=6, below |V| on every lite graph except facebook-lite (n=400,
+  // where G_q = G). e=0.02, λ=0.2 and 1−α=1−β=95% are the paper's defaults.
+  private val E = 0.02
+  private val Eps = 0.2
+  private val Lambda = 0.2
+  private val Seed = 2024L
 
   def seaConfig(p: Params, gamma: Double, truss: Boolean = false,
                 sizeBound: Option[(Int, Int)] = None): Sea.Config =
-    Sea.Config(k = p.k, gamma = gamma, eps = p.eps, beta = p.beta,
-      lambda = p.lambda, e = p.e, alpha = p.alpha, truss = truss,
-      sizeBound = sizeBound, seed = p.seed)
+    Sea.Config(k = p.k, gamma = gamma, eps = Eps, lambda = Lambda, e = E,
+      truss = truss, sizeBound = sizeBound, seed = Seed)
 
   /** Evaluate the requested methods on one query. `SEA` and `SEA-Truss` run
     * [[Sea.run]]. Every other key names a method searched on q's maximal
@@ -100,11 +93,13 @@ object BenchRunner {
     * suffix for the k-truss model and an optional `-Core` suffix for the
     * k-core model (the tables use Exact, ACQ-Core, LocATC-Core, VAC-Core,
     * E-VAC-Core, Exact-Truss, LocATC-Truss and VAC-Truss). Each model's
-    * structure is collected once per query, and its time counts towards
-    * every method searched on it; the peel under it is cached per graph.
+    * structure and its f(·,q) column are built once per query, and their
+    * time counts towards every method searched on them; the peel under the
+    * structure is cached per graph.
     * δ is scored on the graph each method searched: SEA's is its δ*, the
-    * exact mean over its community, and every other method's is taken on
-    * q's collected structure. An empty community has δ = NaN.
+    * exact mean over its community, and every other method's is
+    * [[AttrDistance.delta]] over q's collected structure. An empty community
+    * has δ = NaN.
     * Throws `IllegalArgumentException` on an unknown key.
     */
   def evalQuery(prep: Prepared, q: Long, p: Params, methods: Seq[String]): QueryEval = {
@@ -116,42 +111,39 @@ object BenchRunner {
       out(m) = MethodResult(r.community, r.deltaStar, t)
     }
 
-    def search(key: String, model: CohesionModel): (LocalGraph, Int) => MethodResult =
+    // Each search maps q's structure, q's index in it and f(·,q) to its
+    // community and whether a state cap stopped it.
+    def search(key: String, model: CohesionModel): (LocalGraph, Int, Array[Double]) => (Set[Long], Boolean) =
       key.stripSuffix("-Truss").stripSuffix("-Core") match {
-        case "Exact" => (lg, qi) =>
-          val r = ExactCSAG.run(lg, qi, lg.distancesTo(qi, prep.gamma), model,
-            ExactCSAG.Pruning.All, p.exactCap)
-          MethodResult(r.community, r.delta, 0.0, r.capped)
-        case "ACQ" => (lg, qi) =>
+        case "Exact" => (lg, qi, f) =>
+          val r = ExactCSAG.run(lg, qi, f, model, ExactCSAG.Pruning.All, p.exactCap)
+          (r.community, r.capped)
+        case "ACQ" => (lg, qi, _) =>
           // ACQ needs >=1 shared textual attribute (equality matching); with
           // numerical-only data it cannot return a community (paper §VII-E).
           val r = Acq.run(lg, qi, model)
-          MethodResult(if (r.sharedAttrs.isEmpty) Set.empty else r.community, Double.NaN, 0.0)
-        case "LocATC" => (lg, qi) =>
-          MethodResult(LocAtc.run(lg, qi, model).community, Double.NaN, 0.0)
-        case "VAC" => (lg, qi) =>
-          MethodResult(Vac.run(lg, qi, model, prep.gamma).community, Double.NaN, 0.0)
-        case "E-VAC" => (lg, qi) =>
-          val r = Vac.runExact(lg, qi, model, prep.gamma, p.evacCap)
-          MethodResult(r.community, Double.NaN, 0.0, r.capped)
+          (if (r.sharedAttrs.isEmpty) Set.empty else r.community, false)
+        case "LocATC" => (lg, qi, _) => (LocAtc.run(lg, qi, model).community, false)
+        case "VAC" => (lg, qi, f) => (Vac.run(lg, qi, f, model, prep.gamma).community, false)
+        case "E-VAC" => (lg, qi, f) =>
+          val r = Vac.runExact(lg, qi, f, model, prep.gamma, p.evacCap)
+          (r.community, r.capped)
         case _ => throw new IllegalArgumentException(s"unknown method key: $key")
       }
 
     searched.groupBy(_.endsWith("-Truss")).foreach { case (truss, keys) =>
       val model = if (truss) TrussModel(p.k) else CoreModel(p.k)
       val runs = keys.map(m => m -> search(m, model))
-      val (lg, tPre) = Harness.timeMs(model.maximalConnected(prep.g, q))
-      runs.foreach { case (m, run) =>
-        out(m) =
-          if (lg.n == 0) MethodResult(Set.empty, Double.NaN, tPre)
-          else {
-            val (r, t) = Harness.timeMs(run(lg, lg.indexOf(q)))
-            val delta =
-              if (!r.delta.isNaN) r.delta
-              else if (r.community.isEmpty || r.community == Set(q)) Double.NaN
-              else Metrics.delta(lg, r.community, q, prep.gamma)
-            r.copy(delta = delta, timeMs = tPre + t)
-          }
+      val (lg, tLg) = Harness.timeMs(model.maximalConnected(prep.g, q))
+      if (lg.n == 0) keys.foreach(m => out(m) = MethodResult(Set.empty, Double.NaN, tLg))
+      else {
+        val qi = lg.indexOf(q)
+        val (f, tF) = Harness.timeMs(lg.distancesTo(qi, prep.gamma))
+        runs.foreach { case (m, run) =>
+          val ((community, capped), t) = Harness.timeMs(run(lg, qi, f))
+          out(m) = MethodResult(community, AttrDistance.delta(f, lg.localSet(community), qi),
+            tLg + tF + t, capped)
+        }
       }
     }
 
@@ -165,7 +157,7 @@ object BenchRunner {
     * query lies inside an annotated community.
     */
   def pickQueries(prep: Prepared, p: Params): Seq[Long] = {
-    val all = Harness.pickQueries(prep.lg, p.k, p.queries * 4, p.seed)
+    val all = Harness.pickQueries(prep.lg, p.k, p.queries * 4, Seed)
     val inCircle = if (prep.circles.isEmpty) all else all.filter(prep.circles)
     (if (inCircle.size >= p.queries) inCircle else all).take(p.queries)
   }

@@ -5,7 +5,7 @@ import scala.collection.mutable
 import repro.core._
 import repro.eval.{Harness, Metrics}
 import repro.graph._
-import repro.synthgraph.Datasets
+import repro.synthgraph.{Datasets, SynthGraph}
 
 /** One producer per table of the paper's evaluation section (§VII). Each
   * returns the formatted table (rows also usable programmatically); the
@@ -51,7 +51,8 @@ object Tables {
     def totalRank: Int = ranks.sum
   }
 
-  def tableII(spark: SparkSession, p: Params = Params()): (String, Seq[MetricRow]) = {
+  def tableII(spark: SparkSession): (String, Seq[MetricRow]) = {
+    val p = Params()
     val prep = prepareHomo(spark, "facebook-lite")
     val methods = Seq("SEA", "LocATC-Core", "ACQ-Core", "VAC-Core", "Exact", "E-VAC-Core")
     val queries = pickQueries(prep, p)
@@ -90,7 +91,8 @@ object Tables {
 
   final case class F1Row(method: String, scores: Map[String, Double])
 
-  def tableIII(spark: SparkSession, p: Params = Params()): (String, Seq[F1Row]) = {
+  def tableIII(spark: SparkSession): (String, Seq[F1Row]) = {
+    val p = Params()
     val datasets = Seq("facebook-lite", "livejournal-lite", "orkut-lite", "amazon-lite")
     // Mirror the paper's availability: E-VAC only on the smallest graph,
     // Exact not on the two largest (it "cannot finish" there at paper scale).
@@ -104,9 +106,10 @@ object Tables {
       val methods = methodsFor(name)
       prep.g.peeledAdjacency(CoreModel(p.k)) // built once, ahead of the timed queries
       val evals = pickQueries(prep, p).map(q => evalQuery(prep, q, p, methods))
+      val truth = SynthGraph.Generated(prep.raw, prep.membership, prep.circles)
       val f1s = methods.map { m =>
         val xs = evals.flatMap { ev =>
-          ev.results.get(m).map(r => Metrics.f1(r.community, prep.groundTruthOf(ev.q)))
+          ev.results.get(m).map(r => Metrics.f1(r.community, truth.groundTruthOf(ev.q)))
         }
         m -> (if (xs.isEmpty) Double.NaN else xs.sum / xs.size)
       }.toMap
@@ -128,8 +131,9 @@ object Tables {
   final case class PruningRow(config: String, dataset: String, timeMs: Double,
       states: Double, capped: Boolean)
 
-  def tableIV(spark: SparkSession, p: Params = Params(queries = 5),
-              cap: Long = 1_000_000L): (String, Seq[PruningRow]) = {
+  def tableIV(spark: SparkSession): (String, Seq[PruningRow]) = {
+    val p = Params(queries = 5)
+    val cap = 1_000_000L
     val datasets = Seq("facebook-lite", "github-lite", "twitch-lite", "livejournal-lite")
     val configs = Seq(
       "Exact"        -> ExactCSAG.Pruning.All,
@@ -144,7 +148,7 @@ object Tables {
       // the differentiation Table IV is about. Documented in EXPERIMENTS.md.
       val base = Datasets.homoSpecs(name)
       val spec = base.copy(communitySize = 26, intraDeg = 10, seed = base.seed + 1)
-      val gen = repro.synthgraph.SynthGraph.homogeneous(spark, spec)
+      val gen = SynthGraph.homogeneous(spark, spec)
       val prep = Prepared(name, gen.graph, Harness.collectWhole(gen.graph),
         gen.membership, Datasets.gammaFor(name), gen.graph, gen.circles)
       val queries = pickQueries(prep, p)
@@ -185,9 +189,8 @@ object Tables {
   final case class HeteroRow(method: String,
       cells: Map[String, (Double, Double)], peelMs: Map[String, Double])
 
-  def tableV(spark: SparkSession,
-             p: Params = Params(k = 5, queries = 10, exactCap = 200_000L))
-      : (String, Seq[HeteroRow]) = {
+  def tableV(spark: SparkSession): (String, Seq[HeteroRow]) = {
+    val p = Params(k = 5, queries = 10, exactCap = 200_000L)
     val datasets = Datasets.heteroNames
     val coreMethods = Seq("SEA", "ACQ-Core", "LocATC-Core", "VAC-Core")
     val trussMethods = Seq("SEA-Truss", "LocATC-Truss", "VAC-Truss")
@@ -232,7 +235,8 @@ object Tables {
   final case class CaseRow(bound: (Int, Int), round: Int, deltaStar: Double,
       moe: Double, deltaS: Long, timeMs: Double, errorPct: Double)
 
-  def tableVI(spark: SparkSession, p: Params = Params(k = 5)): (String, Seq[CaseRow]) = {
+  def tableVI(spark: SparkSession): (String, Seq[CaseRow]) = {
+    val p = Params(k = 5)
     val prep = prepareHetero(spark, "imdb-lite")
     val q = pickQueries(prep, p.copy(queries = 1)).head
     // The paper uses size bounds [10,30] and [30,50] on the 2.9M-node IMDB;

@@ -42,6 +42,20 @@ object AttrDistance {
       gamma: Double,
   ): Double = gamma * jaccard(aText, bText) + (1 - gamma) * manhattan(aNum, bNum)
 
+  /** δ(H) (Definition 4): the mean of `f` over the members other than `q`,
+    * summed in ascending index order; NaN when no member besides `q`
+    * remains. `f(i)` is local node `i`'s distance to `q`, and `f` covers
+    * every member. Allocates nothing: Exact scores every search state with it.
+    */
+  def delta(f: Array[Double], members: scala.collection.BitSet, q: Int): Double = {
+    var s = 0.0; var c = 0; var i = 0
+    while (i < f.length) {
+      if (i != q && members.contains(i)) { s += f(i); c += 1 }
+      i += 1
+    }
+    if (c == 0) Double.NaN else s / c
+  }
+
   /** Per-dimension (min, range) of the numerical attributes of a graph,
     * computed distributively. `range` is clamped to ≥ 1e-12 so `Z(·)` never
     * divides by zero on constant dimensions.

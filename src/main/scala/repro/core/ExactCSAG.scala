@@ -55,7 +55,7 @@ object ExactCSAG {
 
   /** Run the enumeration on a collected local graph. `f(i)` is the composite
     * distance of local node `i` to the query. `objective` defaults to the
-    * paper's δ(·); E-VAC reuses the machinery with the min-max objective
+    * paper's δ(·) ([[AttrDistance.delta]]); E-VAC reuses the machinery with the min-max objective
     * (P2/P3 are δ-specific and must be off for a non-δ objective).
     *
     * The search runs on one [[repro.graph.Peel]]: each candidate deletion is
@@ -74,13 +74,8 @@ object ExactCSAG {
       accept: Option[mutable.BitSet => Boolean] = scala.None,
   ): Result = {
     val k = model.minCommunitySize - 1
-
-    def deltaOf(alive: mutable.BitSet): Double = {
-      var s = 0.0; var c = 0
-      alive.foreach { i => if (i != qIdx) { s += f(i); c += 1 } }
-      if (c == 0) 0.0 else s / c
-    }
-    val score: mutable.BitSet => Double = objective.getOrElse(deltaOf)
+    val score: mutable.BitSet => Double =
+      objective.getOrElse(AttrDistance.delta(f, _, qIdx))
 
     val peel = model.peel(lg, lg.allAlive, qIdx)
     val cur = peel.alive
@@ -112,7 +107,7 @@ object ExactCSAG {
     val stack = mutable.ArrayBuffer.empty[Frame]
     def open(fPrev: Double): Unit =
       if (!(pruning.p3 && lowerBound() >= bestScore)) {
-        val d = deltaOf(cur)
+        val d = AttrDistance.delta(f, cur, qIdx)
         val candidates = (if (pruning.p1) descendingF else others)
           .filter(i => cur(i) && (!pruning.p2 || f(i) > d))
         stack += new Frame(candidates, fPrev, peel.mark)

@@ -23,18 +23,18 @@ import repro.graph._
   */
 object Sea {
 
-  val MaxRounds = 5      // the paper's N_e ≤ 5
-  private val BlbM = 0.6 // BLB scale factor m: subsamples of size N^m
-  private val BlbR = 60  // BLB resamples per subsample
+  val MaxRounds = 5         // the paper's N_e ≤ 5
+  private val BlbM = 0.6    // BLB scale factor m: subsamples of size N^m
+  private val BlbR = 60     // BLB resamples per subsample
+  private val Alpha = 0.05  // CI confidence 1−α = 95%
+  private val Beta = 0.05   // Hoeffding 1−β = 95%
 
   final case class Config(
       k: Int = 4,
       gamma: Double = 0.5,
       eps: Double = 0.05,      // Hoeffding ε
-      beta: Double = 0.05,     // Hoeffding 1−β = 95%
       lambda: Double = 0.2,    // initial sampling fraction
       e: Double = 0.02,        // user error bound
-      alpha: Double = 0.05,    // CI confidence 1−α = 95%
       sizeBound: Option[(Int, Int)] = None,
       truss: Boolean = false,
       seed: Long = 42,
@@ -73,7 +73,7 @@ object Sea {
     // A size bound's l replaces the model's minimum even when l < k+1; the
     // |G_q| this gives is part of the output.
     val minNodes = cfg.sizeBound.fold(model.minCommunitySize.toLong)(_._1.toLong)
-    val minGq = Hoeffding.minGqSize(g.nodeCount, minNodes, cfg.eps, cfg.beta)
+    val minGq = Hoeffding.minGqSize(g.nodeCount, minNodes, cfg.eps, Beta)
     // G_q is Hoeffding-bounded, so the BFS returns it collected; sampling,
     // estimation and the greedy peel run on the driver from here on.
     val lg = PriorityBfs.collectGq(g, q, minGq, cfg.gamma)
@@ -106,7 +106,7 @@ object Sea {
         // Eq. 12, so the rounds depend on it.
         if (cfg.sizeBound.forall(cur.size <= _._2)) {
           val fv = cur.iterator.filter(_ != qIdx).map(fLoc).toArray
-          val est = Blb.estimate(fv, cfg.alpha, BlbM, BlbR, cfg.seed + round)
+          val est = Blb.estimate(fv, Alpha, BlbM, BlbR, cfg.seed + round)
           if (roundBest.forall(_.deltaStar > est.deltaStar)) roundBest = Some(est)
           if (withinL(cur.size)) {
             converged = Blb.satisfies(est, cfg.e)

@@ -1,6 +1,5 @@
 package repro.eval
 
-import scala.collection.mutable
 import repro.baselines.{LocAtc, Vac}
 import repro.graph.LocalGraph
 
@@ -8,14 +7,6 @@ import repro.graph.LocalGraph
   * and Table II's four attribute-cohesiveness measures).
   */
 object Metrics {
-
-  /** δ(H): mean composite distance to q over members ≠ q (Definition 4). */
-  def delta(lg: LocalGraph, community: Set[Long], qId: Long, gamma: Double): Double = {
-    val qIdx = lg.indexOf(qId)
-    val others = community.filter(_ != qId).map(lg.indexOf)
-    if (others.isEmpty) 0.0
-    else others.iterator.map(i => lg.pairDistance(i, qIdx, gamma)).sum / others.size
-  }
 
   /** Relative error `|δ* − δ| / δ` (Eq. 2); 0 when both are 0. */
   def relativeError(approx: Double, exact: Double): Double =
@@ -26,16 +17,13 @@ object Metrics {
     * column of Table II — smaller is better).
     */
   def minMaxPairwise(lg: LocalGraph, community: Set[Long], gamma: Double): Double =
-    Vac.maxPairwise(lg, local(lg, community), gamma)._3
+    Vac.maxPairwise(lg.localSet(community), lg.pairDistance(_, _, gamma))._3
 
   /** ATC's metric: attribute coverage `Σ_{a∈A^t(q)} |V_a ∩ V_H|²/|V_H|`
     * (larger is better).
     */
   def coverageScore(lg: LocalGraph, community: Set[Long], qId: Long): Double =
-    LocAtc.score(lg, lg.indexOf(qId), local(lg, community))
-
-  private def local(lg: LocalGraph, ids: Set[Long]): mutable.BitSet =
-    mutable.BitSet.fromSpecific(ids.iterator.map(lg.indexOf))
+    LocAtc.score(lg, lg.indexOf(qId), lg.localSet(community))
 
   /** ACQ's metric: fraction of q's textual attributes shared by *every*
     * community member (larger is better). See DESIGN.md §5 for the

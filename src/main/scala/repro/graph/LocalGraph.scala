@@ -51,23 +51,9 @@ final class LocalGraph(
 
   def allAlive: mutable.BitSet = mutable.BitSet(0 until n: _*)
 
-  /** Connected component of `q` within `alive` (BFS). */
-  def componentOf(q: Int, alive: mutable.BitSet): mutable.BitSet = {
-    val seen = mutable.BitSet.empty
-    if (!alive(q)) return seen
-    val queue = mutable.Queue(q)
-    seen += q
-    while (queue.nonEmpty) {
-      val u = queue.dequeue()
-      val a = adj(u); var j = 0
-      while (j < a.length) {
-        val v = a(j)
-        if (alive(v) && !seen(v)) { seen += v; queue += v }
-        j += 1
-      }
-    }
-    seen
-  }
+  /** The local indices of the given node ids. */
+  def localSet(ids: Set[Long]): mutable.BitSet =
+    mutable.BitSet.fromSpecific(ids.iterator.map(indexOf))
 
   /** Coreness of every node (local Batagelj–Zaversnik-style peel). */
   def coreness(): Array[Int] = {

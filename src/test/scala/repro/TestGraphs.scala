@@ -3,7 +3,7 @@ package repro
 import org.apache.spark.sql.SparkSession
 import scala.collection.mutable
 import scala.util.Random
-import repro.graph.{AttributedGraph, LocalGraph}
+import repro.graph.{AttributedGraph, FromScratch, LocalGraph}
 
 /** Shared hand-built graphs and reference (brute force) implementations for
   * the unit tests.
@@ -60,7 +60,7 @@ object TestGraphs {
         if (members.size >= k + 1) {
           val alive = mutable.BitSet(members: _*)
           val degOk = members.forall(i => lg.degreeWithin(i, alive) >= k)
-          if (degOk && lg.componentOf(q, alive).size == members.size) {
+          if (degOk && FromScratch.componentOf(lg, q, alive).size == members.size) {
             val others = members.filter(_ != q)
             val d = others.map(f).sum / others.size
             if (best.forall(_._2 > d + 1e-12)) best = Some((members.toSet, d))

@@ -99,10 +99,10 @@ class BaselinesSpec extends AnyFunSuite {
 
   test("VAC peels the endpoint of the worst pair while the core survives") {
     val lg = twoCliques
-    val r = Vac.run(lg, 0, new CoreModel(3), gamma = 0.5)
+    val r = Vac.run(lg, 0, lg.distancesTo(0, 0.5), new CoreModel(3), gamma = 0.5)
     assert(r.community.contains(0L))
     // {0,1,2,3} has a strictly smaller min-max than the full two-clique graph
-    val full = Vac.maxPairwise(lg, lg.allAlive, 0.5)._3
+    val full = Vac.maxPairwise(lg.allAlive, lg.pairDistance(_, _, 0.5))._3
     assert(r.minMax <= full + 1e-12)
   }
 
@@ -113,13 +113,13 @@ class BaselinesSpec extends AnyFunSuite {
         (2L, Set("a"), Array(0.1)), (3L, Set("b"), Array(1.0))),
       for (a <- 0L until 4L; b <- a + 1 until 4L) yield (a, b),
     )
-    val r = Vac.run(lg, 0, new CoreModel(3), gamma = 0.5)
+    val r = Vac.run(lg, 0, lg.distancesTo(0, 0.5), new CoreModel(3), gamma = 0.5)
     assert(r.community === Set(0L, 1L, 2L, 3L)) // Fig. 1(d) behaviour
   }
 
   test("VAC returns empty community when q has no k-core") {
     val lg = TestGraphs.local(3, Seq((0, 1)))
-    val r = Vac.run(lg, 0, new CoreModel(2), 0.5)
+    val r = Vac.run(lg, 0, lg.distancesTo(0, 0.5), new CoreModel(2), 0.5)
     assert(r.community.isEmpty)
   }
 
@@ -128,12 +128,16 @@ class BaselinesSpec extends AnyFunSuite {
     (1 to 5).foreach { s =>
       val lg = TestGraphs.randomLocal(10, 0.5, seed = 40 + s)
       val model = new CoreModel(2)
-      val approx = Vac.run(lg, 0, model, 0.5)
-      val exact = Vac.runExact(lg, 0, model, 0.5, stateCap = 100000)
+      val f = lg.distancesTo(0, 0.5)
+      val approx = Vac.run(lg, 0, f, model, 0.5)
+      val exact = Vac.runExact(lg, 0, f, model, 0.5, stateCap = 100000)
       if (approx.community.nonEmpty && exact.community.nonEmpty && !exact.capped) {
         compared += 1
         assert(exact.minMax <= approx.minMax + 1e-9,
           s"seed=$s exact=${exact.minMax} approx=${approx.minMax}")
+        // E-VAC reports the min-max of the community it returns.
+        val own = Vac.maxPairwise(lg.localSet(exact.community), lg.pairDistance(_, _, 0.5))._3
+        assert(exact.minMax === own, s"seed=$s")
       }
     }
     assert(compared >= 1, "no seed had both communities and an uncapped E-VAC")
@@ -141,7 +145,7 @@ class BaselinesSpec extends AnyFunSuite {
 
   test("E-VAC respects the state cap (the paper's '>1 week' behaviour)") {
     val lg = TestGraphs.randomLocal(14, 0.6, seed = 77)
-    val r = Vac.runExact(lg, 0, new CoreModel(2), 0.5, stateCap = 20)
+    val r = Vac.runExact(lg, 0, lg.distancesTo(0, 0.5), new CoreModel(2), 0.5, stateCap = 20)
     assert(r.capped)
   }
 
@@ -150,7 +154,7 @@ class BaselinesSpec extends AnyFunSuite {
       Seq((0L, Set("a"), Array(0.0)), (1L, Set("a"), Array(1.0)), (2L, Set("a"), Array(0.5))),
       Seq((0L, 1L), (1L, 2L), (0L, 2L)),
     )
-    val (u, v, d) = Vac.maxPairwise(lg, lg.allAlive, gamma = 0.0)
+    val (u, v, d) = Vac.maxPairwise(lg.allAlive, lg.pairDistance(_, _, 0.0))
     assert(Set(u, v) === Set(0, 1))
     assert(math.abs(d - 1.0) < 1e-12)
   }

@@ -2,8 +2,8 @@ package repro.bench
 
 import repro.SparkSpec
 import repro.baselines.{Acq, LocAtc, Vac}
-import repro.core.{ExactCSAG, Sea}
-import repro.eval.{Harness, Metrics}
+import repro.core.{AttrDistance, ExactCSAG, Sea}
+import repro.eval.Harness
 import repro.graph.{CohesionModel, CoreModel, LocalGraph, TrussModel}
 import repro.synthgraph.SynthGraph
 
@@ -29,8 +29,9 @@ class BenchRunnerSpec extends SparkSpec {
       val lg = model.maximalConnected(prep.g, q)
       run(lg, lg.indexOf(q))
     }
+    def f(lg: LocalGraph, qi: Int): Array[Double] = lg.distancesTo(qi, prep.gamma)
     def exact(model: CohesionModel): ExactCSAG.Result = on(model)((lg, qi) =>
-      ExactCSAG.run(lg, qi, lg.distancesTo(qi, prep.gamma), model, ExactCSAG.Pruning.All, p.exactCap))
+      ExactCSAG.run(lg, qi, f(lg, qi), model, ExactCSAG.Pruning.All, p.exactCap))
     val exactCore = exact(core)
     val acq = on(core)(Acq.run(_, _, core))
     assert(acq.sharedAttrs.nonEmpty)
@@ -40,11 +41,12 @@ class BenchRunnerSpec extends SparkSpec {
       "Exact" -> exactCore.community,
       "ACQ-Core" -> acq.community,
       "LocATC-Core" -> on(core)(LocAtc.run(_, _, core)).community,
-      "VAC-Core" -> on(core)(Vac.run(_, _, core, prep.gamma)).community,
-      "E-VAC-Core" -> on(core)(Vac.runExact(_, _, core, prep.gamma, p.evacCap)).community,
+      "VAC-Core" -> on(core)((lg, qi) => Vac.run(lg, qi, f(lg, qi), core, prep.gamma)).community,
+      "E-VAC-Core" -> on(core)((lg, qi) =>
+        Vac.runExact(lg, qi, f(lg, qi), core, prep.gamma, p.evacCap)).community,
       "Exact-Truss" -> exact(truss).community,
       "LocATC-Truss" -> on(truss)(LocAtc.run(_, _, truss)).community,
-      "VAC-Truss" -> on(truss)(Vac.run(_, _, truss, prep.gamma)).community,
+      "VAC-Truss" -> on(truss)((lg, qi) => Vac.run(lg, qi, f(lg, qi), truss, prep.gamma)).community,
     )
     keys.foreach(m => assert(expected(m).nonEmpty, m))
 
@@ -54,8 +56,9 @@ class BenchRunnerSpec extends SparkSpec {
     assert(ev.exactDelta === exactCore.delta)
     // δ is scored on each method's searched graph; it must equal δ on G.
     val whole = Harness.collectWhole(prep.g)
+    val fWhole = whole.distancesTo(whole.indexOf(q), prep.gamma)
     keys.foreach { m =>
-      val onWhole = Metrics.delta(whole, ev.results(m).community, q, prep.gamma)
+      val onWhole = AttrDistance.delta(fWhole, whole.localSet(ev.results(m).community), whole.indexOf(q))
       assert(math.abs(ev.results(m).delta - onWhole) <= 1e-12, s"$m: ${ev.results(m).delta} vs $onWhole")
     }
   }
@@ -70,7 +73,10 @@ class BenchRunnerSpec extends SparkSpec {
     val searched = keys.filterNot(_.startsWith("SEA"))
     val ev = evalQuery(prep, prep.lg.ids(outside), p.copy(k = k), searched)
     assert(ev.results.keySet === searched.toSet)
-    searched.foreach(m => assert(ev.results(m).community.isEmpty, m))
+    searched.foreach { m =>
+      assert(ev.results(m).community.isEmpty, m)
+      assert(ev.results(m).delta.isNaN, m)
+    }
     assert(ev.exactDelta.isNaN)
   }
 

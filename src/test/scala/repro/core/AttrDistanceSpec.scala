@@ -1,8 +1,9 @@
 package repro.core
 
+import scala.collection.mutable
 import scala.util.Random
 import repro.{Oracle, SparkSpec, TestGraphs}
-import repro.graph.AttributedGraph
+import repro.graph.{AttributedGraph, LocalGraph}
 
 class AttrDistanceSpec extends SparkSpec {
 
@@ -104,6 +105,32 @@ class AttrDistanceSpec extends SparkSpec {
     val g = 0.3
     val c = AttrDistance.composite(Set("a", "b"), Array(0.2), Set("a"), Array(0.9), g)
     assert(math.abs(c - (g * t + (1 - g) * m)) < 1e-12)
+  }
+
+  // ---- delta -------------------------------------------------------------
+
+  /** f(·,q) for q = 0 at γ = 0 on four nodes with numbers 0, 0.2, 0.4, 1. */
+  private def fToZero: Array[Double] = LocalGraph.build(
+    Seq(
+      (0L, Set("a", "b"), Array(0.0)),
+      (1L, Set("a", "b"), Array(0.2)),
+      (2L, Set("a"), Array(0.4)),
+      (3L, Set("c"), Array(1.0)),
+    ),
+    Seq((0L, 1L), (1L, 2L), (2L, 3L), (0L, 2L), (0L, 3L)),
+  ).distancesTo(0, gamma = 0.0)
+
+  test("delta: mean f over the members other than q") {
+    val d = AttrDistance.delta(fToZero, mutable.BitSet(0, 1, 2), 0)
+    assert(math.abs(d - (0.2 + 0.4) / 2) < 1e-12)
+  }
+
+  test("delta: a community holding only q has none, so NaN") {
+    assert(AttrDistance.delta(fToZero, mutable.BitSet(0), 0).isNaN)
+  }
+
+  test("delta: the empty community is NaN") {
+    assert(AttrDistance.delta(fToZero, mutable.BitSet.empty, 0).isNaN)
   }
 
   // ---- normalization -----------------------------------------------------

@@ -4,7 +4,7 @@ import org.scalatest.funsuite.AnyFunSuite
 import scala.collection.mutable
 import repro.TestGraphs
 import repro.core.ExactCSAG.Pruning
-import repro.graph.{CoreModel, TrussModel}
+import repro.graph.{CoreModel, FromScratch, TrussModel}
 
 class ExactSpec extends AnyFunSuite {
 
@@ -110,7 +110,7 @@ class ExactSpec extends AnyFunSuite {
       assert(r.community.contains(0L))
       val alive = scala.collection.mutable.BitSet(r.community.map(lg.indexOf).toSeq: _*)
       alive.foreach(i => assert(lg.degreeWithin(i, alive) >= k))
-      assert(lg.componentOf(0, alive) === alive)
+      assert(FromScratch.componentOf(lg, 0, alive) === alive)
     }
   }
 

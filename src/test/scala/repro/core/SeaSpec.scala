@@ -3,6 +3,7 @@ package repro.core
 import scala.collection.mutable
 import repro.{SparkSpec, TestGraphs}
 import repro.eval.{Harness, Metrics}
+import repro.graph.FromScratch
 import repro.synthgraph.SynthGraph
 
 class SeaSpec extends SparkSpec {
@@ -12,8 +13,7 @@ class SeaSpec extends SparkSpec {
     bridges = 3, seed = 900))
 
   private val baseCfg = Sea.Config(
-    k = 5, gamma = 0.5, eps = 0.4, beta = 0.05, lambda = 0.5,
-    e = 0.10, alpha = 0.05, seed = 7)
+    k = 5, gamma = 0.5, eps = 0.4, lambda = 0.5, e = 0.10, seed = 7)
 
   test("SEA returns a community containing q") {
     val r = Sea.run(planted.graph, 40L, baseCfg)
@@ -26,7 +26,7 @@ class SeaSpec extends SparkSpec {
     val lg = Harness.collectWhole(planted.graph)
     val alive = mutable.BitSet(r.community.map(lg.indexOf).toSeq: _*)
     alive.foreach(i => assert(lg.degreeWithin(i, alive) >= baseCfg.k, s"node $i"))
-    assert(lg.componentOf(lg.indexOf(40L), alive) === alive)
+    assert(FromScratch.componentOf(lg, lg.indexOf(40L), alive) === alive)
   }
 
   test("SEA recovers (mostly) the planted annotated circle") {
@@ -66,7 +66,7 @@ class SeaSpec extends SparkSpec {
   test("SEA G_q respects the Hoeffding minimum size (capped by n)") {
     val r = Sea.run(planted.graph, 40L, baseCfg)
     val n = planted.graph.nodeCount
-    val expected = Hoeffding.minGqSize(n, baseCfg.k + 1L, baseCfg.eps, baseCfg.beta)
+    val expected = Hoeffding.minGqSize(n, baseCfg.k + 1L, baseCfg.eps, beta = 0.05)
     // the planted graph is connected, so the BFS reaches exactly the minimum
     assert(r.gqSize === math.min(expected, n))
   }

@@ -15,15 +15,6 @@ class MetricsSpec extends AnyFunSuite {
     Seq((0L, 1L), (1L, 2L), (2L, 3L), (0L, 2L), (0L, 3L)),
   )
 
-  test("delta: mean composite distance to q, excluding q") {
-    val d = Metrics.delta(lg, Set(0L, 1L, 2L), 0L, gamma = 0.0)
-    assert(math.abs(d - (0.2 + 0.4) / 2) < 1e-12)
-  }
-
-  test("delta: singleton community (only q) is 0") {
-    assert(Metrics.delta(lg, Set(0L), 0L, 0.5) === 0.0)
-  }
-
   test("relativeError: |approx-exact|/exact") {
     assert(math.abs(Metrics.relativeError(0.133, 0.123) - 0.0813) < 1e-3)
     assert(Metrics.relativeError(0.0, 0.0) === 0.0)

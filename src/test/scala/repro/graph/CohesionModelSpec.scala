@@ -56,7 +56,7 @@ class CohesionModelSpec extends SparkSpec {
       (2 to 4).foreach { k =>
         val core = new CoreModel(k).maximal(lg, lg.allAlive, 0)
         core.foreach(i => assert(lg.degreeWithin(i, core) >= k, s"seed=$s k=$k node=$i"))
-        if (core.nonEmpty) assert(lg.componentOf(0, core) === core)
+        if (core.nonEmpty) assert(FromScratch.componentOf(lg, 0, core) === core)
       }
     }
   }
@@ -67,7 +67,7 @@ class CohesionModelSpec extends SparkSpec {
       val k = 3
       val coreness = lg.coreness()
       val inCore = mutable.BitSet((0 until lg.n).filter(coreness(_) >= k): _*)
-      val expected = lg.componentOf(0, inCore)
+      val expected = FromScratch.componentOf(lg, 0, inCore)
       val got = new CoreModel(k).maximal(lg, lg.allAlive, 0)
       assert(got === (if (expected(0)) expected else mutable.BitSet.empty), s"seed=$s")
     }
@@ -110,7 +110,7 @@ class CohesionModelSpec extends SparkSpec {
         // q's connected component over the brute-force truss edges, empty
         // when q keeps no edge.
         val truss = TestGraphs.local(lg.n, TestGraphs.bruteTrussEdges(lg, k).toSeq)
-        val component = truss.componentOf(0, truss.allAlive)
+        val component = FromScratch.componentOf(truss, 0, truss.allAlive)
         val expected = if (component.size == 1) mutable.BitSet.empty else component
         assert(new TrussModel(k).maximal(lg, lg.allAlive, 0) === expected, s"seed=$s k=$k")
       }
@@ -199,7 +199,7 @@ class CohesionModelSpec extends SparkSpec {
     Seq(CoreModel(3), TrussModel(3)).foreach { model =>
       val lg = TestGraphs.randomLocal(30, 0.2, seed = 601)
       val g = TestGraphs.toAttributed(spark, lg)
-      val inside = model.maximal(lg, lg.allAlive, lg.componentOf(0, lg.allAlive).maxBy(lg.adj(_).length))
+      val inside = model.maximal(lg, lg.allAlive, FromScratch.componentOf(lg, 0, lg.allAlive).maxBy(lg.adj(_).length))
       assert(inside.size > 1, model)
       // Two adjacent nodes of the structure: their BFS depths differ by at most one.
       val q1 = lg.ids(inside.head)

@@ -67,7 +67,7 @@ class CoreDecompositionSpec extends SparkSpec {
     val g = TestGraphs.toAttributed(spark, lg)
     val (mins, rngs) = g.numStats
     val back = PriorityBfs.componentOf(g, g.adjacencyRdd, 0L)
-    val reachable = lg.componentOf(0, lg.allAlive)
+    val reachable = FromScratch.componentOf(lg, 0, lg.allAlive)
     assert(back.n === reachable.size)
     reachable.foreach { i =>
       val j = back.indexOf(lg.ids(i))

@@ -8,6 +8,21 @@ import scala.collection.mutable
   */
 object FromScratch {
 
+  /** Connected component of `q` within `alive` (BFS); empty when `q` is not
+    * alive.
+    */
+  def componentOf(g: LocalGraph, q: Int, alive: mutable.BitSet): mutable.BitSet = {
+    val seen = mutable.BitSet.empty
+    if (!alive(q)) return seen
+    val queue = mutable.Queue(q)
+    seen += q
+    while (queue.nonEmpty) {
+      val u = queue.dequeue()
+      g.adj(u).foreach(v => if (alive(v) && !seen(v)) { seen += v; queue += v })
+    }
+    seen
+  }
+
   /** q's connected k-core within `alive`: peel degree < k, take q's component. */
   def core(g: LocalGraph, alive: mutable.BitSet, q: Int, k: Int): mutable.BitSet = {
     if (!alive(q)) return mutable.BitSet.empty
@@ -28,7 +43,7 @@ object FromScratch {
         }
       }
     }
-    if (!cur(q)) mutable.BitSet.empty else g.componentOf(q, cur)
+    if (!cur(q)) mutable.BitSet.empty else componentOf(g, q, cur)
   }
 
   /** q's connected k-truss within `alive`: recompute every edge support to a

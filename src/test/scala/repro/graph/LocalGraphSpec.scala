@@ -39,23 +39,6 @@ class LocalGraphSpec extends AnyFunSuite {
     assert(lg.degreeWithin(0, mutable.BitSet(0)) === 0)
   }
 
-  test("componentOf: BFS component of q") {
-    val lg = TestGraphs.local(6, Seq((0, 1), (1, 2), (3, 4)))
-    assert(lg.componentOf(0, lg.allAlive) === mutable.BitSet(0, 1, 2))
-    assert(lg.componentOf(3, lg.allAlive) === mutable.BitSet(3, 4))
-    assert(lg.componentOf(5, lg.allAlive) === mutable.BitSet(5))
-  }
-
-  test("componentOf: empty when q is not alive") {
-    val lg = TestGraphs.local(3, Seq((0, 1)))
-    assert(lg.componentOf(0, mutable.BitSet(1, 2)).isEmpty)
-  }
-
-  test("componentOf: respects the alive mask as a cut") {
-    val lg = TestGraphs.local(4, Seq((0, 1), (1, 2), (2, 3)))
-    assert(lg.componentOf(0, mutable.BitSet(0, 1, 3)) === mutable.BitSet(0, 1))
-  }
-
   test("coreness: clique K4 has coreness 3 everywhere") {
     val lg = TestGraphs.local(4, for (a <- 0 until 4; b <- a + 1 until 4) yield (a, b))
     assert(lg.coreness().toSeq === Seq(3, 3, 3, 3))

@@ -2,7 +2,7 @@ package repro.synthgraph
 
 import repro.SparkSpec
 import repro.eval.Harness
-import repro.graph.CoreModel
+import repro.graph.{CoreModel, FromScratch}
 
 class SynthGraphSpec extends SparkSpec {
 
@@ -40,7 +40,7 @@ class SynthGraphSpec extends SparkSpec {
 
   test("homogeneous: graph is connected (bridges link communities)") {
     val lg = Harness.collectWhole(homo.graph)
-    assert(lg.componentOf(0, lg.allAlive).size === lg.n)
+    assert(FromScratch.componentOf(lg, 0, lg.allAlive).size === lg.n)
   }
 
   test("homogeneous: the k-core around a non-bridge query stays in-community") {
