@@ -31,7 +31,6 @@ object BenchRunner {
 
   final case class QueryEval(
       q: Long,
-      exactDelta: Double,
       results: Map[String, MethodResult],
   )
 
@@ -147,9 +146,7 @@ object BenchRunner {
       }
     }
 
-    val exactDelta = out.get("Exact").orElse(out.get("Exact-Truss"))
-      .map(_.delta).getOrElse(Double.NaN)
-    QueryEval(q, exactDelta, out.toMap)
+    QueryEval(q, out.toMap)
   }
 
   /** Query nodes: coreness-eligible and, when the dataset has annotated

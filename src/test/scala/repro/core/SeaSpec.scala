@@ -9,7 +9,7 @@ import repro.synthgraph.SynthGraph
 class SeaSpec extends SparkSpec {
 
   private lazy val planted = SynthGraph.homogeneous(spark, SynthGraph.HomoSpec(
-    name = "test", nCommunities = 5, communitySize = 30, intraDeg = 14, interDeg = 2,
+    nCommunities = 5, communitySize = 30, intraDeg = 14, interDeg = 2,
     bridges = 3, seed = 900))
 
   private val baseCfg = Sea.Config(
@@ -170,8 +170,8 @@ class SeaSpec extends SparkSpec {
 
   test("SEA on a meta-path projection finds a target-node community") {
     val hetero = SynthGraph.heterogeneous(spark, SynthGraph.HeteroSpec(
-      name = "t", targetType = "A", hubType = "P", nCommunities = 4,
-      communitySize = 20, hubsPerCommunity = 50, targetsPerHub = 3, seed = 901))
+      targetType = "A", hubType = "P", nCommunities = 4,
+      communitySize = 20, hubsPerCommunity = 50, seed = 901))
     val proj = repro.graph.MetaPath.project(hetero.graph, Seq("A", "P", "A"))
     // e=0.02 forces the greedy refinement to actually peel the numerically
     // deviant periphery before returning.

@@ -27,7 +27,7 @@ class HarnessSpec extends SparkSpec {
   }
 
   test("collectWhole: normalized numerical attributes in [0,1]") {
-    val gen = SynthGraph.homogeneous(spark, SynthGraph.HomoSpec("h", 2, 12, 6, 2, seed = 9))
+    val gen = SynthGraph.homogeneous(spark, SynthGraph.HomoSpec(2, 12, 6, 2, seed = 9))
     val lg = Harness.collectWhole(gen.graph)
     assert(lg.n === 24)
     (0 until lg.n).foreach { i =>

@@ -1,5 +1,6 @@
 package repro.synthgraph
 
+import scala.util.hashing.MurmurHash3
 import repro.SparkSpec
 import repro.eval.Harness
 import repro.graph.{CoreModel, FromScratch}
@@ -7,12 +8,12 @@ import repro.graph.{CoreModel, FromScratch}
 class SynthGraphSpec extends SparkSpec {
 
   private lazy val homo = SynthGraph.homogeneous(spark, SynthGraph.HomoSpec(
-    name = "t", nCommunities = 4, communitySize = 25, intraDeg = 12, interDeg = 2,
+    nCommunities = 4, communitySize = 25, intraDeg = 12, interDeg = 2,
     bridges = 3, seed = 5))
 
   private lazy val het = SynthGraph.heterogeneous(spark, SynthGraph.HeteroSpec(
-    name = "t", targetType = "A", hubType = "P", nCommunities = 3,
-    communitySize = 15, hubsPerCommunity = 30, targetsPerHub = 3,
+    targetType = "A", hubType = "P", nCommunities = 3,
+    communitySize = 15, hubsPerCommunity = 30,
     decoTypes = Seq(("V", 5), ("T", 10)), seed = 6))
 
   // ---- homogeneous ----------------------------------------------------------
@@ -25,9 +26,9 @@ class SynthGraphSpec extends SparkSpec {
 
   test("homogeneous: deterministic in the seed") {
     val a = SynthGraph.homogeneous(spark, SynthGraph.HomoSpec(
-      "x", 2, 10, 6, 2, seed = 42))
+      2, 10, 6, 2, seed = 42))
     val b = SynthGraph.homogeneous(spark, SynthGraph.HomoSpec(
-      "x", 2, 10, 6, 2, seed = 42))
+      2, 10, 6, 2, seed = 42))
     assert(a.graph.edges.collect().toSet === b.graph.edges.collect().toSet)
     assert(a.graph.nodes.collect().toSet === b.graph.nodes.collect().toSet)
   }
@@ -113,7 +114,7 @@ class SynthGraphSpec extends SparkSpec {
 
   test("heterogeneous: numerical-only mode yields empty tag sets") {
     val g = SynthGraph.heterogeneous(spark, SynthGraph.HeteroSpec(
-      "n", "E", "R", 2, 10, 20, 3, hasText = false, seed = 8))
+      "E", "R", 2, 10, 20, hasText = false, seed = 8))
     val anyTags = g.graph.nodesOfType("E")
       .select(org.apache.spark.sql.functions.size(org.apache.spark.sql.functions.col("text")))
       .collect().map(_.getInt(0)).max
@@ -126,6 +127,59 @@ class SynthGraphSpec extends SparkSpec {
     // spot-build the smallest of each kind
     assert(Datasets.homo(spark, "facebook-lite").graph.nodeCount === 400)
     assert(Datasets.hetero(spark, "dblp-lite").graph.nodesOfType("A").count() === 720)
+    // generated once per session
+    assert(Datasets.homo(spark, "facebook-lite") eq Datasets.homo(spark, "facebook-lite"))
+    assert(Datasets.hetero(spark, "dblp-lite") eq Datasets.hetero(spark, "dblp-lite"))
+  }
+
+  /** Order-sensitive digest of a generated graph: its node rows and edge rows
+    * in collected order (`num` as raw bits), then its membership and circles
+    * sorted.
+    */
+  private def digest(gen: SynthGraph.Generated): Int = {
+    val nodes = gen.graph.nodes.collect().map { r =>
+      val num = r.getSeq[Double](3).map(java.lang.Double.doubleToLongBits)
+      s"${r.getLong(0)}|${r.getString(1)}|${r.getSeq[String](2).mkString(",")}|${num.mkString(",")}"
+    }
+    val edges = gen.graph.edges.collect().map(r => s"${r.getLong(0)}|${r.getLong(1)}|${r.getString(2)}")
+    MurmurHash3.orderedHash(Seq(
+      MurmurHash3.orderedHash(nodes.toSeq),
+      MurmurHash3.orderedHash(edges.toSeq),
+      MurmurHash3.orderedHash(gen.membership.toSeq.sorted),
+      MurmurHash3.orderedHash(gen.circles.toSeq.sorted)))
+  }
+
+  test("Datasets: every named graph and Table IV variant keeps its digest") {
+    val named = Datasets.homoSpecs.keys.map(n => n -> Datasets.homo(spark, n)) ++
+      Datasets.heteroSpecs.keys.map(n => n -> Datasets.hetero(spark, n))
+    // Table IV's reduced-size variants, built as Tables.tableIV builds them.
+    val tableIV = Seq("facebook-lite", "github-lite", "twitch-lite", "livejournal-lite").map { n =>
+      val base = Datasets.homoSpecs(n)
+      s"$n/IV" -> SynthGraph.homogeneous(spark,
+        base.copy(communitySize = 26, intraDeg = 10, seed = base.seed + 1))
+    }
+    val actual = (named ++ tableIV).map { case (n, gen) => n -> digest(gen) }.toMap
+    // A changed value means a changed graph, row order included.
+    val expected = Map[String, Int](
+      "amazon-lite" -> 586630344,
+      "dblp-lite" -> 422747889,
+      "dbpedia-lite" -> -1328765477,
+      "facebook-lite" -> 2034675326,
+      "facebook-lite/IV" -> -1689332165,
+      "freebase-lite" -> -1360562829,
+      "github-lite" -> 1779233711,
+      "github-lite/IV" -> 863777298,
+      "imdb-lite" -> -2010458049,
+      "livejournal-lite" -> -1683685566,
+      "livejournal-lite/IV" -> 574611129,
+      "orkut-lite" -> -2076211636,
+      "twitch-lite" -> -1662113544,
+      "twitch-lite/IV" -> 765429474,
+      "twitter-lite" -> -641131324,
+      "yago-lite" -> 1873671371,
+    )
+    assert(actual === expected, actual.toSeq.sorted.map { case (n, d) => s"\"$n\" -> $d," }
+      .mkString("\n", "\n", ""))
   }
 
   test("Datasets: gammaFor is 0 for numerical-only graphs") {
