@@ -56,7 +56,7 @@ object Tables {
     val prep = prepareHomo(spark, "facebook-lite")
     val methods = Seq("SEA", "LocATC-Core", "ACQ-Core", "VAC-Core", "Exact", "E-VAC-Core")
     val queries = pickQueries(prep, p)
-    prep.g.peeledAdjacency(CoreModel(p.k)) // built once, ahead of the timed queries
+    prep.g.peelIndex(CoreModel(p.k)) // built once, ahead of the timed queries
     val evals = queries.map(q => evalQuery(prep, q, p, methods))
     val rows = methods.map { m =>
       def avg(f: (Set[Long], Long) => Double): Double = {
@@ -104,7 +104,7 @@ object Tables {
     val perDataset = datasets.map { name =>
       val prep = prepareHomo(spark, name)
       val methods = methodsFor(name)
-      prep.g.peeledAdjacency(CoreModel(p.k)) // built once, ahead of the timed queries
+      prep.g.peelIndex(CoreModel(p.k)) // built once, ahead of the timed queries
       val evals = pickQueries(prep, p).map(q => evalQuery(prep, q, p, methods))
       val truth = SynthGraph.Generated(prep.raw, prep.membership, prep.circles)
       val f1s = methods.map { m =>
@@ -182,12 +182,13 @@ object Tables {
   // Table V — core- and truss-based methods on heterogeneous graphs
   // =========================================================================
 
-  /** `cells`: dataset -> (per-query time ms, error %). `peelMs`: dataset ->
-    * the once-per-dataset peel of the method's cohesion model, which its
-    * per-query times exclude; NaN for SEA, which is index-free (§V).
+  /** `cells`: dataset -> (per-query time ms, error %). `indexMs`: dataset ->
+    * the once-per-dataset peel and [[PeelIndex]] build of the method's
+    * cohesion model, which its per-query times exclude; NaN for SEA, which
+    * is index-free (§V).
     */
   final case class HeteroRow(method: String,
-      cells: Map[String, (Double, Double)], peelMs: Map[String, Double])
+      cells: Map[String, (Double, Double)], indexMs: Map[String, Double])
 
   def tableV(spark: SparkSession): (String, Seq[HeteroRow]) = {
     val p = Params(k = 5, queries = 10, exactCap = 200_000L)
@@ -199,16 +200,16 @@ object Tables {
       val prep = prepareHetero(spark, name)
       val methods = all ++ Seq("Exact", "Exact-Truss")
       val queries = pickQueries(prep, p)
-      // Each model's peel is built once, ahead of the timed queries, and
+      // Each model's index is built once, ahead of the timed queries, and
       // reported on its own: the per-query times exclude it.
-      val corePeel = Harness.timeMs(prep.g.peeledAdjacency(CoreModel(p.k)))._2
-      val trussPeel = Harness.timeMs(prep.g.peeledAdjacency(TrussModel(p.k)))._2
+      val coreIndex = Harness.timeMs(prep.g.peelIndex(CoreModel(p.k)))._2
+      val trussIndex = Harness.timeMs(prep.g.peelIndex(TrussModel(p.k)))._2
       val evals = queries.map(q => evalQuery(prep, q, p, methods))
       val cells = all.map { m =>
         val exactKey = if (m.contains("Truss")) "Exact-Truss" else "Exact"
-        val peel = if (m.startsWith("SEA")) Double.NaN
-                   else if (m.contains("Truss")) trussPeel else corePeel
-        m -> ((meanTime(evals, m), meanError(evals, m, exactKey) * 100), peel)
+        val index = if (m.startsWith("SEA")) Double.NaN
+                    else if (m.contains("Truss")) trussIndex else coreIndex
+        m -> ((meanTime(evals, m), meanError(evals, m, exactKey) * 100), index)
       }.toMap
       name -> cells
     }.toMap
@@ -217,11 +218,11 @@ object Tables {
       datasets.map(d => d -> perDataset(d)(m)._2).toMap))
     val header = f"${"Method"}%-14s" + datasets.map(d => f"$d%38s").mkString +
       "\n" + f"${""}%-14s" +
-      datasets.map(_ => f"${"time(ms)"}%14s${"peel(once)"}%12s${"err(%)"}%12s").mkString
+      datasets.map(_ => f"${"time(ms)"}%14s${"index(once)"}%12s${"err(%)"}%12s").mkString
     val body = rows.map { r =>
       f"${r.method}%-14s" + datasets.map { d =>
         val (t, e) = r.cells(d)
-        f"${fmt(t, 1)}%14s${fmt(r.peelMs(d), 1)}%12s${fmt(e, 2)}%12s"
+        f"${fmt(t, 1)}%14s${fmt(r.indexMs(d), 1)}%12s${fmt(e, 2)}%12s"
       }.mkString
     }
     ((s"TABLE V -- heterogeneous graphs, (k,P)-core and (k,P)-truss (k=${p.k}, ${p.queries} queries)"

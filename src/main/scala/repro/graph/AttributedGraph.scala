@@ -33,18 +33,14 @@ final case class AttributedGraph(nodes: DataFrame, edges: DataFrame) {
     */
   lazy val numStats: (Array[Double], Array[Double]) = AttrDistance.numStats(this)
 
-  private val peeled = mutable.Map.empty[CohesionModel, RDD[(Long, Long)]]
+  private val indexes = mutable.Map.empty[CohesionModel, PeelIndex]
 
-  /** [[AttributedGraph.adjacency]] of the edges that survive `model`'s
-    * distributed peel, peeled once per graph and model on first use. The
-    * peel does not depend on the query node, so every later call reuses it.
-    * Concurrent first calls wait for one build. The RDD's lineage holds the peel's final `localCheckpoint`, so keeping
-    * it here keeps Spark's `ContextCleaner` off the checkpointed blocks.
+  /** `model`'s [[PeelIndex]] on this graph, built on first use. Neither the
+    * peel nor the component labels depend on the query node, so every later
+    * call reuses them. Concurrent first calls wait for one build.
     */
-  def peeledAdjacency(model: CohesionModel): RDD[(Long, Long)] =
-    peeled.synchronized {
-      peeled.getOrElseUpdate(model, AttributedGraph.adjacency(model.peelEdges(edges)))
-    }
+  def peelIndex(model: CohesionModel): PeelIndex =
+    indexes.synchronized(indexes.getOrElseUpdate(model, PeelIndex.build(this, model)))
 
   /** `(id, A^t(v), Z(A^#(v)))` of a collected `nodes` row, normalized with
     * this graph's stats — the node shape [[LocalGraph.build]] takes.
@@ -70,8 +66,9 @@ object AttributedGraph {
   /** `(src, dst)` of a collected `edges` row. */
   def edgePair(r: Row): (Long, Long) = (r.getAs[Long]("src"), r.getAs[Long]("dst"))
 
-  /** Both orientations of every edge (`src`, `dst`) of `edges`, as pairs: the
-    * adjacency a driver-side BFS filters with one small job per layer.
+  /** Both orientations of every edge (`src`, `dst`) of `edges`, as pairs, in
+    * one fixed order: the adjacency a driver-side BFS filters with one small
+    * job per layer, and the edge order of a [[PeelIndex]] component.
     */
   def adjacency(edges: DataFrame): RDD[(Long, Long)] =
     edges.select(col("src"), col("dst"))

@@ -1,6 +1,7 @@
 package repro.graph
 
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.functions.col
 import scala.collection.mutable
 
 /** A structure-cohesiveness model (§II-A / §VI-C): given a set of alive
@@ -8,9 +9,10 @@ import scala.collection.mutable
   * and maintain it under node deletions ([[Peel]]). The maintenance is the
   * exact enumeration's per-state "k-core maintenance" (§IV-B); SEA's greedy
   * candidate search (§V-B) and the LocATC/VAC peels use it too. On the
-  * distributed graph the model peels `G` with Spark and collects q's maximal
-  * connected structure (§IV-A), which Exact and the baselines then search on
-  * the driver.
+  * distributed graph the model peels `G` with Spark, once per graph, and
+  * q's maximal connected structure (§IV-A) is fetched from the peeled
+  * graph's component index; Exact and the baselines then search it on the
+  * driver.
   */
 trait CohesionModel {
 
@@ -18,17 +20,24 @@ trait CohesionModel {
   def peelEdges(edges: DataFrame): DataFrame
 
   /** Maximal connected cohesive subgraph of `g` containing `q`, collected:
-    * the driver BFS from `q` over the edges that survive this model's
-    * distributed peel. The peel is cached per graph and model
-    * ([[AttributedGraph.peeledAdjacency]]), so only the first call on a graph
-    * pays it; each call pays the BFS and the attribute fetch. The result
-    * holds only surviving edges, which suffices: for any node set A, the
-    * structure of G[A] equals that of the peeled graph restricted to A.
-    * Attributes are normalized by the whole graph's stats. Empty when `q`
-    * keeps no edge; throws `IllegalArgumentException` when `q` is not in `g`.
+    * the component of `q` in this model's [[PeelIndex]] on `g`, walked on the
+    * driver by the BFS that collects SEA's `G_q`, so nodes come layer by
+    * layer from `q`. The index is built once per graph and model
+    * ([[AttributedGraph.peelIndex]]), so only the first call on a graph pays
+    * the peel and the labelling; each call pays one Spark job, the fetch.
+    * The result holds only surviving edges, which suffices: for any node set
+    * A, the structure of G[A] equals that of the peeled graph restricted to
+    * A. Attributes are normalized by the whole graph's stats. Empty when `q`
+    * keeps no edge; throws `IllegalArgumentException` when `q` is not in `g`,
+    * which takes a second job.
     */
   def maximalConnected(g: AttributedGraph, q: Long): LocalGraph =
-    PriorityBfs.componentOf(g, g.peeledAdjacency(this), q)
+    g.peelIndex(this).componentOf(q) match {
+      case Some(c) => PriorityBfs.walk(g, p => c.edges.filter(p), _ => c.rows, q, Long.MaxValue, gamma = 0.0)
+      case None =>
+        require(!g.nodes.filter(col("id") === q).isEmpty, s"query node $q not in graph")
+        LocalGraph.build(Nil, Nil)
+    }
 
   /** q's maximal connected cohesive subgraph of `g[alive]`, maintained under
     * deletions by the returned [[Peel]]. Does not mutate `alive`.

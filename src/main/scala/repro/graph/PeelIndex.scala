@@ -1,0 +1,95 @@
+package repro.graph
+
+import org.apache.spark.HashPartitioner
+import org.apache.spark.rdd.RDD
+import org.apache.spark.sql.Row
+import scala.collection.mutable
+
+/** The connected components of the graph that survives a cohesion model's
+  * distributed peel, labelled once per graph and model, so that q's maximal
+  * connected k-core or k-truss (§IV-A) is one fetch rather than a walk per
+  * query (ACQ answers it from its per-graph CL-tree in the same way).
+  *
+  * `components` holds one record per component, keyed by its label, the
+  * least node id in it. `rounds` is the number of labelling rounds the
+  * build ran.
+  */
+final class PeelIndex private (val components: RDD[(Long, PeelIndex.Component)], val rounds: Int) {
+
+  /** The component that contains `q`; None when `q` keeps no edge in the
+    * peeled graph. One Spark job.
+    */
+  def componentOf(q: Long): Option[PeelIndex.Component] =
+    components.values.filter(_.contains(q)).collect().headOption
+}
+
+object PeelIndex {
+
+  /** One component: its node ids in ascending order, the raw `nodes` rows of
+    * those nodes, and both orientations of each of its edges, in the order of
+    * the peeled adjacency ([[AttributedGraph.adjacency]]).
+    */
+  final case class Component(ids: Array[Long], rows: Array[Row], edges: Array[(Long, Long)]) {
+    def contains(v: Long): Boolean = java.util.Arrays.binarySearch(ids, v) >= 0
+  }
+
+  /** Edge pairs per partition of the index. */
+  private val PairsPerPartition = 100000L
+
+  /** Peels `g` with `model`, then labels the peeled graph's components with
+    * Hash-to-Min (Rastogi et al., "Finding Connected Components in
+    * Map-Reduce in Logarithmic Rounds", ICDE 2013). Each node keeps a
+    * cluster, first itself and its neighbours. In a round, each node sends
+    * its cluster to the cluster's least id and that id to every member, and
+    * its new cluster is the union of what it received. When no cluster
+    * changes, a component's least id holds the whole component and every
+    * other node holds only that id, its label. A 40-node path takes 8-9
+    * rounds, whatever its id order.
+    *
+    * Spark jobs: the peel's, one or two that number and count the
+    * adjacency's pairs, one per round (it also counts the clusters that
+    * changed), and one that builds the components.
+    */
+  def build(g: AttributedGraph, model: CohesionModel): PeelIndex = {
+    val pairs = AttributedGraph.adjacency(model.peelEdges(g.edges)).zipWithIndex()
+    val part = new HashPartitioner(
+      math.max(1, math.ceil(pairs.count().toDouble / PairsPerPartition).toInt))
+    // Each node's out-pairs as (position in the adjacency, other end).
+    val out = pairs.map { case ((s, d), i) => (s, (i, d)) }.groupByKey(part)
+      .mapValues(_.toArray).persist()
+
+    // Clusters as ascending id arrays, partitioned as `out`.
+    var clusters = out.mapPartitions(_.map { case (v, es) => (v, (v +: es.map(_._2)).sorted) },
+      preservesPartitioning = true)
+    var rounds = 0
+    var changed = 1L
+    while (changed > 0) {
+      // A member of a cluster is in its least id's next cluster, so every
+      // node receives a message and the join keeps every node.
+      val next = clusters
+        .flatMap { case (_, c) => Iterator((c(0), c)) ++ c.iterator.map((_, Array(c(0)))) }
+        .aggregateByKey(mutable.Set.empty[Long], part)(_ ++= _, _ ++= _)
+        .mapValues(_.toArray.sorted)
+        .join(clusters) // (v, (new, old))
+      next.localCheckpoint()
+      changed = next.filter { case (_, (c, old)) => !c.sameElements(old) }.count()
+      clusters = next.mapValues(_._1)
+      rounds += 1
+    }
+    val labels = clusters.mapValues(_(0))
+
+    val rows = g.nodes.rdd.map(r => (r.getAs[Long]("id"), r))
+    val components = out.join(labels).join(rows, part)
+      .map { case (v, ((es, l), r)) => (l, (v, r, es)) }
+      .groupByKey(part)
+      .mapValues { members =>
+        val ms = members.toArray.sortBy(_._1)
+        val edges = ms.flatMap { case (v, _, es) => es.map { case (i, d) => (i, (v, d)) } }
+        Component(ms.map(_._1), ms.map(_._2), edges.sortBy(_._1).map(_._2))
+      }
+    components.localCheckpoint()
+    components.count()
+    out.unpersist()
+    new PeelIndex(components, rounds)
+  }
+}

@@ -1,6 +1,6 @@
 package repro.graph
 
-import org.apache.spark.rdd.RDD
+import org.apache.spark.sql.Row
 import org.apache.spark.sql.functions._
 import scala.collection.mutable
 import repro.core.AttrDistance
@@ -16,7 +16,7 @@ import repro.core.AttrDistance
   * the driver and each layer costs one filter job over the symmetric edges,
   * with the frontier shipped to the tasks as a set. With no size bound the
   * same walk collects q's maximal connected k-core or k-truss (§IV-A, §VI-C)
-  * from the peeled edge set.
+  * on the driver, over the component a [[PeelIndex]] fetched.
   */
 object PriorityBfs {
 
@@ -30,31 +30,25 @@ object PriorityBfs {
     * of the edges inside the last, unexpanded layer.
     */
   def collectGq(g: AttributedGraph, q: Long, minSize: Long, gamma: Double): LocalGraph =
-    walk(g, g.adjacencyRdd, q, minSize, gamma)
+    walk(g, p => g.adjacencyRdd.filter(p).collect(),
+      ids => g.nodes.filter(col("id").isin(ids: _*)).collect(), q, minSize, gamma)
 
-  /** `q`'s connected component over `adjacency` (both orientations of a
-    * subset of `g`'s edges, see [[AttributedGraph.adjacency]]), holding only
-    * those edges, in the node order of [[collectGq]]. Attributes come from
-    * `g`, normalized by the whole graph's stats. Empty when `q` has no edge
-    * in `adjacency`; throws when `q` is not in `g`.
-    *
-    * Spark jobs: one per BFS layer and one attribute fetch.
+  /** The BFS behind [[collectGq]] and [[CohesionModel.maximalConnected]].
+    * `edgesWhere(p)` returns the walked graph's symmetric edges that satisfy
+    * `p`, always in one fixed order; `rowsOf(ids)` returns the `nodes` rows
+    * of at least those ids that are in `g`. With `minSize = Long.MaxValue`
+    * the walk collects q's whole connected component; γ only ranks an
+    * overshooting layer, and such a walk never overshoots.
     */
-  def componentOf(g: AttributedGraph, adjacency: RDD[(Long, Long)], q: Long): LocalGraph = {
-    // γ only ranks an overshooting layer, and an unbounded walk never overshoots.
-    val lg = walk(g, adjacency, q, Long.MaxValue, gamma = 0.0)
-    if (lg.n == 1) LocalGraph.build(Nil, Nil) else lg
-  }
-
-  private def walk(g: AttributedGraph, adjacency: RDD[(Long, Long)], q: Long,
-                   minSize: Long, gamma: Double): LocalGraph = {
+  private[graph] def walk(g: AttributedGraph, edgesWhere: (((Long, Long)) => Boolean) => Array[(Long, Long)],
+                          rowsOf: Seq[Long] => Array[Row], q: Long, minSize: Long, gamma: Double): LocalGraph = {
     val visited = mutable.LinkedHashSet(q)
     val edges = mutable.ArrayBuffer.empty[(Long, Long)]
     var layer: Seq[Long] = Seq(q) // newest layer, not yet expanded
     var overshoot: Seq[Long] = Nil
     while (visited.size < minSize && layer.nonEmpty && overshoot.isEmpty) {
       val frontier = layer.toSet
-      val out = adjacency.filter(e => frontier(e._1)).collect()
+      val out = edgesWhere(e => frontier(e._1))
       edges ++= out
       val next = out.iterator.map(_._2).filterNot(visited).toSeq.distinct.sorted
       if (visited.size + next.size <= minSize) {
@@ -63,8 +57,7 @@ object PriorityBfs {
       } else overshoot = next
     }
 
-    val rows = g.nodes.filter(col("id").isin((visited ++ overshoot).toSeq: _*)).collect()
-      .map(g.localNode).map(v => v._1 -> v).toMap
+    val rows = rowsOf((visited ++ overshoot).toSeq).map(g.localNode).map(v => v._1 -> v).toMap
     require(rows.contains(q), s"query node $q not in graph")
     if (overshoot.nonEmpty) {
       // Overshooting layer: keep only the lowest-f portion that fills G_q.
@@ -80,7 +73,7 @@ object PriorityBfs {
     // one, never those inside the last layer that stayed unexpanded.
     if (layer.size > 1) {
       val last = layer.toSet
-      edges ++= adjacency.filter(e => last(e._1) && last(e._2)).collect()
+      edges ++= edgesWhere(e => last(e._1) && last(e._2))
     }
     LocalGraph.build(visited.toSeq.map(rows), edges.toSeq)
   }

@@ -130,14 +130,14 @@ class CohesionModelSpec extends SparkSpec {
     assert(new TrussModel(4).minCommunitySize === 4)
   }
 
-  // ---- maximalConnected over the per-graph peel cache ---------------------
+  // ---- maximalConnected over the per-graph peel index ---------------------
 
-  /** Same ids in the same order, and per node the same neighbour ids and
-    * attributes.
+  /** Same ids in the same order, and per node the same neighbour ids in the
+    * same order and the same attributes.
     */
   private def sameGraph(a: LocalGraph, b: LocalGraph): Boolean =
     a.ids.sameElements(b.ids) && a.ids.indices.forall { i =>
-      a.adj(i).map(a.ids).toSet == b.adj(i).map(b.ids).toSet &&
+      a.adj(i).map(a.ids).sameElements(b.adj(i).map(b.ids)) &&
         a.text(i) == b.text(i) && a.num(i).sameElements(b.num(i))
     }
 
@@ -157,15 +157,48 @@ class CohesionModelSpec extends SparkSpec {
     (a, sc.statusTracker.getJobIdsForGroup(group).length)
   }
 
-  /** BFS layers from `q` in `lg`: its eccentricity plus one. */
-  private def layersFrom(lg: LocalGraph, q: Long): Int = {
-    val dist = mutable.Map(lg.indexOf(q) -> 0)
-    val queue = mutable.Queue(lg.indexOf(q))
-    while (queue.nonEmpty) {
-      val u = queue.dequeue()
-      lg.adj(u).foreach(v => if (!dist.contains(v)) { dist(v) = dist(u) + 1; queue += v })
+  /** The index's components as (label, node ids, edge pairs). */
+  private def indexed(g: AttributedGraph, model: CohesionModel): Set[(Long, Set[Long], Set[(Long, Long)])] =
+    g.peelIndex(model).components.collect().map { case (l, c) =>
+      (l, c.ids.toSet, c.edges.toSet)
+    }.toSet
+
+  test("peelIndex: components equal the peeled graph's, labelled by their least id") {
+    Seq(CoreModel(3), TrussModel(4)).foreach { model =>
+      (1 to 2).foreach { s =>
+        // Three random blocks with no edge between them, so the peeled graph
+        // has several components.
+        val blocks = (0 until 3).map(b => TestGraphs.randomLocal(14, 0.4, seed = 700 + 3 * s + b))
+        val lg = TestGraphs.local(42, blocks.zipWithIndex.flatMap { case (b, i) =>
+          (0 until b.n).flatMap(u => b.adj(u).filter(_ > u).map(v => (14 * i + u, 14 * i + v)))
+        })
+        // The peeled graph, by the local brute-force peels.
+        val peeled = model match {
+          case CoreModel(k) =>
+            val core = TestGraphs.bruteCoreness(lg)
+            (0 until lg.n).flatMap(u => lg.adj(u).filter(v => u < v && core(u) >= k && core(v) >= k).map((u, _)))
+          case TrussModel(k) => TestGraphs.bruteTrussEdges(lg, k).toSeq
+        }
+        val plg = TestGraphs.local(lg.n, peeled)
+        val expected = (0 until plg.n).filter(plg.adj(_).nonEmpty)
+          .map(v => FromScratch.componentOf(plg, v, plg.allAlive).map(_.toLong).toSet).toSet
+          .map { (c: Set[Long]) =>
+            (c.min, c, peeled.map { case (a, b) => (a.toLong, b.toLong) }
+              .filter(e => c(e._1)).flatMap(e => Seq(e, e.swap)).toSet)
+          }
+        assert(expected.size > 1, s"$model seed=$s")
+        assert(indexed(TestGraphs.toAttributed(spark, lg), model) === expected, s"$model seed=$s")
+      }
     }
-    dist.values.max + 1
+  }
+
+  test("peelIndex: a 40-node path is labelled in 9 rounds") {
+    // Position i of the path holds node 13i mod 40, so ids do not follow the
+    // path; min-label propagation would take 40 rounds here.
+    val lg = TestGraphs.local(40, (0 until 39).map(i => (13 * i % 40, 13 * (i + 1) % 40)))
+    val g = TestGraphs.toAttributed(spark, lg)
+    assert(g.peelIndex(CoreModel(1)).rounds === 9)
+    assert(indexed(g, CoreModel(1)).map(c => (c._1, c._2)) === Set((0L, (0L until 40L).toSet)))
   }
 
   test("maximalConnected: on a warm cache equals a fresh peel and BFS, for every q") {
@@ -174,41 +207,40 @@ class CohesionModelSpec extends SparkSpec {
       val lg = TestGraphs.randomLocal(16, 0.35, seed = 501)
       val g = TestGraphs.toAttributed(spark, lg)
       model.maximalConnected(g, lg.ids(0))
+      // Sized from its data, not from the 64 shuffle partitions of the suite.
+      assert(g.peelIndex(model).components.getNumPartitions === 1, model)
       val fresh = AttributedGraph.adjacency(model.peelEdges(g.edges))
       lg.ids.foreach { q =>
         val got = model.maximalConnected(g, q)
-        assert(sameGraph(got, PriorityBfs.componentOf(g, fresh, q)), s"$model q=$q")
+        assert(sameGraph(got, FromScratch.componentOf(g, fresh, q)), s"$model q=$q")
         outcomes += got.n == 0
       }
     }
     assert(outcomes === Set(true, false))
   }
 
-  test("peeledAdjacency: one entry per model, and a repeat call returns it") {
+  test("peelIndex: one entry per model, and a repeat call returns it") {
     val g = TestGraphs.toAttributed(spark, k4plusTail)
     val models = Seq(CoreModel(3), CoreModel(4), TrussModel(3))
-    val entries = models.map(g.peeledAdjacency)
+    val entries = models.map(g.peelIndex)
     assert(entries.distinct.size === 3)
-    models.zip(entries).foreach { case (m, e) => assert(g.peeledAdjacency(m) eq e, m) }
-    assert(g.peeledAdjacency(new CoreModel(3)) eq entries.head)
+    models.zip(entries).foreach { case (m, e) => assert(g.peelIndex(m) eq e, m) }
+    assert(g.peelIndex(new CoreModel(3)) eq entries.head)
     val k4 = for (a <- 0L until 4L; b <- 0L until 4L if a != b) yield (a, b)
-    assert(entries.map(_.collect().toSet) === Seq(k4.toSet, Set.empty, k4.toSet))
+    val k4Component = Set((0L, (0L until 4L).toSet, k4.toSet))
+    assert(models.map(indexed(g, _)) === Seq(k4Component, Set.empty, k4Component))
   }
 
-  test("maximalConnected: a warm call runs fewer jobs than the cold one, at most layers + 1") {
+  test("maximalConnected: a warm call runs exactly one Spark job") {
     Seq(CoreModel(3), TrussModel(3)).foreach { model =>
       val lg = TestGraphs.randomLocal(30, 0.2, seed = 601)
       val g = TestGraphs.toAttributed(spark, lg)
       val inside = model.maximal(lg, lg.allAlive, FromScratch.componentOf(lg, 0, lg.allAlive).maxBy(lg.adj(_).length))
       assert(inside.size > 1, model)
-      // Two adjacent nodes of the structure: their BFS depths differ by at most one.
-      val q1 = lg.ids(inside.head)
-      val q2 = lg.ids(lg.adj(inside.head).find(inside).get)
-      val (_, cold) = jobsIn(s"cold-$model")(model.maximalConnected(g, q1))
-      val (warmLg, warm) = jobsIn(s"warm-$model")(model.maximalConnected(g, q2))
+      model.maximalConnected(g, lg.ids(inside.head))
+      val (warmLg, warm) = jobsIn(s"warm-$model")(model.maximalConnected(g, lg.ids(inside.last)))
       assert(warmLg.ids.toSet === inside.map(lg.ids).toSet, model)
-      assert(warm < cold, s"$model: warm $warm, cold $cold")
-      assert(warm <= layersFrom(warmLg, q2) + 1, model)
+      assert(warm === 1, model)
     }
   }
 

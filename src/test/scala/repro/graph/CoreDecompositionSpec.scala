@@ -44,7 +44,7 @@ class CoreDecompositionSpec extends SparkSpec {
   /** `q`'s component over the edges of `g` with both endpoints in `within`. */
   private def componentWithin(g: AttributedGraph, within: Set[Long], q: Long): LocalGraph = {
     val inSet = g.edges.filter(col("src").isin(within.toSeq: _*) && col("dst").isin(within.toSeq: _*))
-    PriorityBfs.componentOf(g, AttributedGraph.adjacency(inSet), q)
+    FromScratch.componentOf(g, AttributedGraph.adjacency(inSet), q)
   }
 
   test("componentOf: matches local BFS") {
@@ -66,7 +66,7 @@ class CoreDecompositionSpec extends SparkSpec {
     val lg = TestGraphs.randomLocal(15, 0.3, seed = 19)
     val g = TestGraphs.toAttributed(spark, lg)
     val (mins, rngs) = g.numStats
-    val back = PriorityBfs.componentOf(g, g.adjacencyRdd, 0L)
+    val back = FromScratch.componentOf(g, g.adjacencyRdd, 0L)
     val reachable = FromScratch.componentOf(lg, 0, lg.allAlive)
     assert(back.n === reachable.size)
     reachable.foreach { i =>

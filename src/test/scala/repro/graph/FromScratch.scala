@@ -1,12 +1,28 @@
 package repro.graph
 
+import org.apache.spark.rdd.RDD
+import org.apache.spark.sql.functions.col
 import scala.collection.mutable
 
 /** From-scratch maximal connected structures: each call clones `alive`,
   * recomputes every degree or support and re-runs the component search.
-  * Test oracles for the incremental [[Peel]]s.
+  * Test oracles for the incremental [[Peel]]s, and for the [[PeelIndex]]
+  * fetch.
   */
 object FromScratch {
+
+  /** `q`'s connected component over `adjacency` (both orientations of a
+    * subset of `g`'s edges, see [[AttributedGraph.adjacency]]), holding only
+    * those edges: [[PriorityBfs.walk]] run on Spark, one filter job per BFS
+    * layer and one attribute fetch. Attributes come from `g`, normalized by
+    * the whole graph's stats. Empty when `q` has no edge in `adjacency`;
+    * throws when `q` is not in `g`.
+    */
+  def componentOf(g: AttributedGraph, adjacency: RDD[(Long, Long)], q: Long): LocalGraph = {
+    val lg = PriorityBfs.walk(g, p => adjacency.filter(p).collect(),
+      ids => g.nodes.filter(col("id").isin(ids: _*)).collect(), q, Long.MaxValue, gamma = 0.0)
+    if (lg.n == 1) LocalGraph.build(Nil, Nil) else lg
+  }
 
   /** Connected component of `q` within `alive` (BFS); empty when `q` is not
     * alive.
