@@ -16,8 +16,10 @@ import repro.synthgraph.Datasets
   * BFS over the fetched component) plus their driver-side search; the
   * distributed k-core/k-truss peel and the labelling of its components do
   * not depend on q, so they run once per graph and model
-  * ([[AttributedGraph.peelIndex]]). The tables build the index before their
-  * timed queries, and Table V reports its time on its own.
+  * ([[AttributedGraph.peelIndex]]). SEA's BFS looks its layers up in the
+  * graph's node store ([[AttributedGraph.nodeStore]]), built once per graph.
+  * The tables build the index and the store before their timed queries, and
+  * Table V reports their build times on their own.
   * Exact ground truth is state-capped; the cap plays the role of the paper's
   * ">8 days" timeouts and is reported.
   */
@@ -48,13 +50,22 @@ object BenchRunner {
       circles: Set[Long] = Set.empty, // annotated (HA-GT) members
   )
 
-  def prepareHomo(spark: SparkSession, name: String): Prepared = {
+  private val prepared = mutable.Map.empty[(SparkSession, String), Prepared]
+
+  /** `name`'s dataset, prepared once per session on first use, so every
+    * table shares one projection, one mirror and the graph's per-graph
+    * structures.
+    */
+  private def once(spark: SparkSession, name: String)(prepare: => Prepared): Prepared =
+    prepared.synchronized(prepared.getOrElseUpdate((spark, name), prepare))
+
+  def prepareHomo(spark: SparkSession, name: String): Prepared = once(spark, name) {
     val gen = Datasets.homo(spark, name)
     Prepared(name, gen.graph, Harness.collectWhole(gen.graph), gen.membership,
       Datasets.gammaFor(name), gen.graph, gen.circles)
   }
 
-  def prepareHetero(spark: SparkSession, name: String): Prepared = {
+  def prepareHetero(spark: SparkSession, name: String): Prepared = once(spark, name) {
     val gen = Datasets.hetero(spark, name)
     val spec = Datasets.heteroSpecs(name)
     val proj = MetaPath.project(gen.graph, spec.metaPath).cached()

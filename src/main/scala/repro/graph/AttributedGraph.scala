@@ -1,5 +1,6 @@
 package repro.graph
 
+import org.apache.spark.HashPartitioner
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.functions._
@@ -18,11 +19,11 @@ final case class AttributedGraph(nodes: DataFrame, edges: DataFrame) {
 
   def spark: SparkSession = nodes.sparkSession
 
-  /** [[AttributedGraph.adjacency]] of the whole graph, planned once per
-    * graph: traversals that run one small job per step skip Catalyst
-    * planning.
+  /** This graph's adjacency keyed by node, the layout SEA's BFS looks its
+    * layers up in ([[PriorityBfs.collectGq]]), built on first use. It
+    * depends on no query node, `k` or cohesion model.
     */
-  lazy val adjacencyRdd: RDD[(Long, Long)] = AttributedGraph.adjacency(edges)
+  lazy val nodeStore: PriorityBfs.NodeStore = PriorityBfs.NodeStore.build(this)
 
   /** `|V|`, counted once per graph. */
   lazy val nodeCount: Long = nodes.count()
@@ -47,9 +48,8 @@ final case class AttributedGraph(nodes: DataFrame, edges: DataFrame) {
     */
   def localNode(r: Row): (Long, Set[String], Array[Double]) = {
     val (mins, rngs) = numStats
-    val t = Option(r.getSeq[String](r.fieldIndex("text"))).map(_.toSet).getOrElse(Set.empty[String])
-    val nm = Option(r.getSeq[Double](r.fieldIndex("num"))).map(_.toArray).getOrElse(Array.empty[Double])
-    (r.getAs[Long]("id"), t, AttrDistance.normalize(nm, mins, rngs))
+    val (t, nm) = AttributedGraph.attributes(r, mins, rngs)
+    (r.getAs[Long]("id"), t.toSet, nm)
   }
 
   /** Nodes of one type — the "target nodes" of a meta-path (§VI-A). */
@@ -67,13 +67,38 @@ object AttributedGraph {
   def edgePair(r: Row): (Long, Long) = (r.getAs[Long]("src"), r.getAs[Long]("dst"))
 
   /** Both orientations of every edge (`src`, `dst`) of `edges`, as pairs, in
-    * one fixed order: the adjacency a driver-side BFS filters with one small
-    * job per layer, and the edge order of a [[PeelIndex]] component.
+    * one fixed order: the edge order of the [[PriorityBfs.NodeStore]] and of
+    * a [[PeelIndex]] component.
     */
   def adjacency(edges: DataFrame): RDD[(Long, Long)] =
     edges.select(col("src"), col("dst"))
       .union(edges.select(col("dst").as("src"), col("src").as("dst")))
       .rdd.map(edgePair)
+
+  /** Adjacency pairs per partition of the per-graph RDDs built from
+    * [[outPairs]].
+    */
+  private[graph] val PairsPerPartition = 100000L
+
+  /** Each node's out-pairs in [[adjacency]] of `edges`, as (position in that
+    * order, other end), hash-partitioned by node with one partition per
+    * `pairsPerPartition` pairs and at least one. Two Spark jobs number and
+    * count the pairs.
+    */
+  private[graph] def outPairs(edges: DataFrame, pairsPerPartition: Long): RDD[(Long, Array[(Long, Long)])] = {
+    val pairs = adjacency(edges).zipWithIndex()
+    val part = new HashPartitioner(math.max(1, math.ceil(pairs.count().toDouble / pairsPerPartition).toInt))
+    pairs.map { case ((s, d), i) => (s, (i, d)) }.groupByKey(part).mapValues(_.toArray)
+  }
+
+  /** `A^t(v)` and `A^#(v)` of a collected `nodes` row, the latter normalized
+    * with the per-dimension `(mins, rngs)`; a null attribute is empty.
+    */
+  private[graph] def attributes(r: Row, mins: Array[Double], rngs: Array[Double]): (Array[String], Array[Double]) = {
+    val t = Option(r.getSeq[String](r.fieldIndex("text"))).map(_.toArray).getOrElse(Array.empty[String])
+    val nm = Option(r.getSeq[Double](r.fieldIndex("num"))).map(_.toArray).getOrElse(Array.empty[Double])
+    (t, AttrDistance.normalize(nm, mins, rngs))
+  }
 
   /** Build from driver-side rows; canonicalizes edge orientation and drops
     * self loops / duplicates. Intended for tests and synthetic generators.

@@ -33,7 +33,9 @@ trait CohesionModel {
     */
   def maximalConnected(g: AttributedGraph, q: Long): LocalGraph =
     g.peelIndex(this).componentOf(q) match {
-      case Some(c) => PriorityBfs.walk(g, p => c.edges.filter(p), _ => c.rows, q, Long.MaxValue, gamma = 0.0)
+      case Some(c) =>
+        val nodes = PriorityBfs.nodesOf(g, c)
+        PriorityBfs.walk(_.flatMap(v => nodes.get(v).map(v -> _)), q, Long.MaxValue, gamma = 0.0)
       case None =>
         require(!g.nodes.filter(col("id") === q).isEmpty, s"query node $q not in graph")
         LocalGraph.build(Nil, Nil)

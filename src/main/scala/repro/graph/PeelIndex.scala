@@ -1,6 +1,5 @@
 package repro.graph
 
-import org.apache.spark.HashPartitioner
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.Row
 import scala.collection.mutable
@@ -12,9 +11,10 @@ import scala.collection.mutable
   *
   * `components` holds one record per component, keyed by its label, the
   * least node id in it. `rounds` is the number of labelling rounds the
-  * build ran.
+  * build ran, and `buildMs` the time the build took, peel included.
   */
-final class PeelIndex private (val components: RDD[(Long, PeelIndex.Component)], val rounds: Int) {
+final class PeelIndex private (val components: RDD[(Long, PeelIndex.Component)], val rounds: Int,
+                               val buildMs: Double) {
 
   /** The component that contains `q`; None when `q` keeps no edge in the
     * peeled graph. One Spark job.
@@ -33,9 +33,6 @@ object PeelIndex {
     def contains(v: Long): Boolean = java.util.Arrays.binarySearch(ids, v) >= 0
   }
 
-  /** Edge pairs per partition of the index. */
-  private val PairsPerPartition = 100000L
-
   /** Peels `g` with `model`, then labels the peeled graph's components with
     * Hash-to-Min (Rastogi et al., "Finding Connected Components in
     * Map-Reduce in Logarithmic Rounds", ICDE 2013). Each node keeps a
@@ -51,12 +48,10 @@ object PeelIndex {
     * changed), and one that builds the components.
     */
   def build(g: AttributedGraph, model: CohesionModel): PeelIndex = {
-    val pairs = AttributedGraph.adjacency(model.peelEdges(g.edges)).zipWithIndex()
-    val part = new HashPartitioner(
-      math.max(1, math.ceil(pairs.count().toDouble / PairsPerPartition).toInt))
+    val t0 = System.nanoTime()
     // Each node's out-pairs as (position in the adjacency, other end).
-    val out = pairs.map { case ((s, d), i) => (s, (i, d)) }.groupByKey(part)
-      .mapValues(_.toArray).persist()
+    val out = AttributedGraph.outPairs(model.peelEdges(g.edges), AttributedGraph.PairsPerPartition).persist()
+    val part = out.partitioner.get
 
     // Clusters as ascending id arrays, partitioned as `out`.
     var clusters = out.mapPartitions(_.map { case (v, es) => (v, (v +: es.map(_._2)).sorted) },
@@ -90,6 +85,6 @@ object PeelIndex {
     components.localCheckpoint()
     components.count()
     out.unpersist()
-    new PeelIndex(components, rounds)
+    new PeelIndex(components, rounds, (System.nanoTime() - t0) / 1e6)
   }
 }

@@ -1,7 +1,6 @@
 package repro.graph
 
-import org.apache.spark.sql.Row
-import org.apache.spark.sql.functions._
+import org.apache.spark.rdd.RDD
 import scala.collection.mutable
 import repro.core.AttrDistance
 
@@ -13,12 +12,63 @@ import repro.core.AttrDistance
   * rounds instead of one-node-at-a-time expansion).
   *
   * `|G_q|` is Hoeffding-bounded (Theorem 10), so the visited set lives on
-  * the driver and each layer costs one filter job over the symmetric edges,
-  * with the frontier shipped to the tasks as a set. With no size bound the
+  * the driver and each layer costs one lookup job in G's [[NodeStore]] that
+  * runs only on the partitions holding the frontier. With no size bound the
   * same walk collects q's maximal connected k-core or k-truss (§IV-A, §VI-C)
   * on the driver, over the component a [[PeelIndex]] fetched.
   */
 object PriorityBfs {
+
+  /** A node as the walk reads it: `A^t(v)` as stored, `Z(A^#(v))`
+    * normalized by the whole graph's stats, and its out-pairs as parallel
+    * arrays, `dst(i)` being the other end of the pair at position `pos(i)`
+    * of one fixed edge order.
+    */
+  final case class Node(text: Array[String], num: Array[Double], pos: Array[Long], dst: Array[Long])
+
+  /** G's adjacency keyed by node ([[AttributedGraph.nodeStore]]): one cached
+    * record per node of `G`, its [[Node]] over [[AttributedGraph.adjacency]]
+    * of all of G's edges, hash-partitioned by id. It is G's adjacency
+    * layout, not a structural index: it holds nothing that depends on `q`,
+    * `k` or the cohesion model. `buildMs` is the time its build took.
+    */
+  final class NodeStore private (val nodes: RDD[(Long, Node)], val buildMs: Double) {
+    private val part = nodes.partitioner.get
+
+    /** The records of those `ids` that are in `G`. One Spark job, with one
+      * task per partition that holds one of `ids`.
+      */
+    def fetch(ids: Seq[Long]): Array[(Long, Node)] = {
+      val want = ids.toSet
+      val parts = want.iterator.map(part.getPartition).toSeq.distinct.sorted
+      nodes.sparkContext.runJob(nodes,
+        (it: Iterator[(Long, Node)]) => it.filter(v => want(v._1)).toArray, parts).flatten
+    }
+  }
+
+  object NodeStore {
+
+    /** One partition per `pairsPerPartition` adjacency pairs, at least one,
+      * as the [[PeelIndex]] is sized. Spark jobs: two that number and count
+      * the pairs, and one that builds the records.
+      */
+    private[graph] def build(g: AttributedGraph,
+                             pairsPerPartition: Long = AttributedGraph.PairsPerPartition): NodeStore = {
+      val t0 = System.nanoTime()
+      val (mins, rngs) = g.numStats
+      val out = AttributedGraph.outPairs(g.edges, pairsPerPartition)
+      val nodes = g.nodes.rdd.map(r => (r.getAs[Long]("id"), r))
+        .leftOuterJoin(out, out.partitioner.get)
+        .mapValues { case (r, es) =>
+          val (text, num) = AttributedGraph.attributes(r, mins, rngs)
+          val ps = es.getOrElse(Array.empty[(Long, Long)])
+          Node(text, num, ps.map(_._1), ps.map(_._2))
+        }
+      nodes.localCheckpoint()
+      nodes.count()
+      new NodeStore(nodes, (System.nanoTime() - t0) / 1e6)
+    }
+  }
 
   /** The neighborhood `G_q` as a driver-side [[LocalGraph]]: its nodes with
     * attributes normalized by the whole graph's stats, and every edge of `G`
@@ -26,29 +76,53 @@ object PriorityBfs {
     * layer, so `q` has index 0. If fewer than `minSize` nodes are reachable
     * from `q`, all reachable nodes are returned.
     *
-    * Spark jobs: one per expanded layer, one attribute fetch, and one fetch
-    * of the edges inside the last, unexpanded layer.
+    * Spark jobs: one lookup per expanded layer, which also returns the
+    * layer's rows, and one for the rows and inner edges of the last layer
+    * when the size bound stops the walk; none to plan, and none to build
+    * the store after its first use on `g`.
     */
   def collectGq(g: AttributedGraph, q: Long, minSize: Long, gamma: Double): LocalGraph =
-    walk(g, p => g.adjacencyRdd.filter(p).collect(),
-      ids => g.nodes.filter(col("id").isin(ids: _*)).collect(), q, minSize, gamma)
+    walk(g.nodeStore.fetch, q, minSize, gamma)
+
+  /** `c`'s nodes as the walk reads them, attributes normalized by `g`'s
+    * stats and positions those of `c.edges`: the source
+    * [[CohesionModel.maximalConnected]] walks, with no Spark job.
+    */
+  private[graph] def nodesOf(g: AttributedGraph, c: PeelIndex.Component): Map[Long, Node] = {
+    val (mins, rngs) = g.numStats
+    val out = c.edges.indices.groupBy(i => c.edges(i)._1)
+    c.ids.indices.map { i =>
+      val (text, num) = AttributedGraph.attributes(c.rows(i), mins, rngs)
+      val ps = out.getOrElse(c.ids(i), IndexedSeq.empty).toArray
+      c.ids(i) -> Node(text, num, ps.map(_.toLong), ps.map(c.edges(_)._2))
+    }.toMap
+  }
 
   /** The BFS behind [[collectGq]] and [[CohesionModel.maximalConnected]].
-    * `edgesWhere(p)` returns the walked graph's symmetric edges that satisfy
-    * `p`, always in one fixed order; `rowsOf(ids)` returns the `nodes` rows
-    * of at least those ids that are in `g`. With `minSize = Long.MaxValue`
-    * the walk collects q's whole connected component; γ only ranks an
-    * overshooting layer, and such a walk never overshoots.
+    * `fetch(ids)` returns the [[Node]] of each of `ids` that is in the walked
+    * graph; the walk calls it once per expanded layer and once for the last
+    * layer when it stops by size, and never twice for one node. Edges keep
+    * the order of the nodes' out-pair positions. With `minSize =
+    * Long.MaxValue` the walk collects q's whole connected component; γ only
+    * ranks an overshooting layer, and such a walk never overshoots. Throws
+    * `IllegalArgumentException` when `q` is not in the walked graph.
     */
-  private[graph] def walk(g: AttributedGraph, edgesWhere: (((Long, Long)) => Boolean) => Array[(Long, Long)],
-                          rowsOf: Seq[Long] => Array[Row], q: Long, minSize: Long, gamma: Double): LocalGraph = {
+  private[graph] def walk(fetch: Seq[Long] => Iterable[(Long, Node)],
+                          q: Long, minSize: Long, gamma: Double): LocalGraph = {
+    val fetched = mutable.Map.empty[Long, Node]
+    // The out-pairs of `layer` whose other end passes `keep`, in position order.
+    def pairsOf(layer: Seq[Long], keep: Long => Boolean): Array[(Long, Long)] =
+      layer.iterator.flatMap(v => fetched.get(v).iterator.flatMap { n =>
+        n.pos.indices.iterator.filter(i => keep(n.dst(i))).map(i => (n.pos(i), (v, n.dst(i))))
+      }).toArray.sortBy(_._1).map(_._2)
+
     val visited = mutable.LinkedHashSet(q)
     val edges = mutable.ArrayBuffer.empty[(Long, Long)]
     var layer: Seq[Long] = Seq(q) // newest layer, not yet expanded
     var overshoot: Seq[Long] = Nil
     while (visited.size < minSize && layer.nonEmpty && overshoot.isEmpty) {
-      val frontier = layer.toSet
-      val out = edgesWhere(e => frontier(e._1))
+      fetched ++= fetch(layer)
+      val out = pairsOf(layer, _ => true)
       edges ++= out
       val next = out.iterator.map(_._2).filterNot(visited).toSeq.distinct.sorted
       if (visited.size + next.size <= minSize) {
@@ -56,9 +130,12 @@ object PriorityBfs {
         layer = next
       } else overshoot = next
     }
+    // The overshooting or unexpanded last layer is not fetched yet.
+    val last = if (overshoot.nonEmpty) overshoot else layer
+    if (last.nonEmpty) fetched ++= fetch(last)
+    require(fetched.contains(q), s"query node $q not in graph")
 
-    val rows = rowsOf((visited ++ overshoot).toSeq).map(g.localNode).map(v => v._1 -> v).toMap
-    require(rows.contains(q), s"query node $q not in graph")
+    val rows = fetched.map { case (v, n) => v -> (v, n.text.toSet, n.num) }
     if (overshoot.nonEmpty) {
       // Overshooting layer: keep only the lowest-f portion that fills G_q.
       val (_, qText, qNum) = rows(q)
@@ -72,8 +149,8 @@ object PriorityBfs {
     // Expanding a layer revealed its edges to earlier layers and to the next
     // one, never those inside the last layer that stayed unexpanded.
     if (layer.size > 1) {
-      val last = layer.toSet
-      edges ++= edgesWhere(e => last(e._1) && last(e._2))
+      val inLast = layer.toSet
+      edges ++= pairsOf(layer, inLast)
     }
     LocalGraph.build(visited.toSeq.map(rows), edges.toSeq)
   }

@@ -2,7 +2,9 @@ package repro
 
 import org.apache.spark.sql.SparkSession
 import org.scalatest.BeforeAndAfterAll
+import org.scalatest.concurrent.Eventually._
 import org.scalatest.funsuite.AnyFunSuite
+import org.scalatest.time.SpanSugar._
 
 /** Base for every test: one local-mode SparkSession for the whole run.
   *
@@ -16,6 +18,28 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
 
   override def afterAll(): Unit = { super.afterAll() }
+
+  /** `body`'s result and the ids of the Spark jobs it ran, in ascending
+    * order, found by job group in the status store.
+    */
+  protected def jobIdsIn[A](group: String)(body: => A): (A, Seq[Int]) = {
+    val sc = spark.sparkContext
+    sc.setJobGroup(group, group)
+    val a = try body finally sc.clearJobGroup()
+    // The status store is fed asynchronously but in event order: once a
+    // later job shows up there, every job of `group` has too.
+    val fence = s"$group-fence"
+    sc.setJobGroup(fence, fence)
+    try sc.parallelize(Seq(1), 1).count() finally sc.clearJobGroup()
+    eventually(timeout(30.seconds))(assert(sc.statusTracker.getJobIdsForGroup(fence).nonEmpty))
+    (a, sc.statusTracker.getJobIdsForGroup(group).toSeq.sorted)
+  }
+
+  /** `body`'s result and the number of Spark jobs it ran. */
+  protected def jobsIn[A](group: String)(body: => A): (A, Int) = {
+    val (a, ids) = jobIdsIn(group)(body)
+    (a, ids.size)
+  }
 }
 
 object SparkSpec {

@@ -34,6 +34,15 @@ object TestGraphs {
     LocalGraph.build(nodes, edges)
   }
 
+  /** Same ids in the same order, and per node the same neighbour ids in the
+    * same order and the same attributes.
+    */
+  def sameGraph(a: LocalGraph, b: LocalGraph): Boolean =
+    a.ids.sameElements(b.ids) && a.ids.indices.forall { i =>
+      a.adj(i).map(a.ids).sameElements(b.adj(i).map(b.ids)) &&
+        a.text(i) == b.text(i) && a.num(i).sameElements(b.num(i))
+    }
+
   /** Distributed twin of a LocalGraph (same ids/attrs/edges). */
   def toAttributed(spark: SparkSession, lg: LocalGraph): AttributedGraph = {
     val nodes = (0 until lg.n).map(i => (lg.ids(i), lg.text(i).toSeq.sorted, lg.num(i).toSeq))

@@ -1,9 +1,8 @@
 package repro.graph
 
-import org.scalatest.concurrent.Eventually._
-import org.scalatest.time.SpanSugar._
 import scala.collection.mutable
 import repro.{SparkSpec, TestGraphs}
+import repro.TestGraphs.sameGraph
 
 class CohesionModelSpec extends SparkSpec {
 
@@ -131,31 +130,6 @@ class CohesionModelSpec extends SparkSpec {
   }
 
   // ---- maximalConnected over the per-graph peel index ---------------------
-
-  /** Same ids in the same order, and per node the same neighbour ids in the
-    * same order and the same attributes.
-    */
-  private def sameGraph(a: LocalGraph, b: LocalGraph): Boolean =
-    a.ids.sameElements(b.ids) && a.ids.indices.forall { i =>
-      a.adj(i).map(a.ids).sameElements(b.adj(i).map(b.ids)) &&
-        a.text(i) == b.text(i) && a.num(i).sameElements(b.num(i))
-    }
-
-  /** `body`'s result and the number of Spark jobs it ran, counted by job
-    * group in the status store.
-    */
-  private def jobsIn[A](group: String)(body: => A): (A, Int) = {
-    val sc = spark.sparkContext
-    sc.setJobGroup(group, group)
-    val a = try body finally sc.clearJobGroup()
-    // The status store is fed asynchronously but in event order: once a
-    // later job shows up there, every job of `group` has too.
-    val fence = s"$group-fence"
-    sc.setJobGroup(fence, fence)
-    try sc.parallelize(Seq(1), 1).count() finally sc.clearJobGroup()
-    eventually(timeout(30.seconds))(assert(sc.statusTracker.getJobIdsForGroup(fence).nonEmpty))
-    (a, sc.statusTracker.getJobIdsForGroup(group).length)
-  }
 
   /** The index's components as (label, node ids, edge pairs). */
   private def indexed(g: AttributedGraph, model: CohesionModel): Set[(Long, Set[Long], Set[(Long, Long)])] =

@@ -66,7 +66,7 @@ class CoreDecompositionSpec extends SparkSpec {
     val lg = TestGraphs.randomLocal(15, 0.3, seed = 19)
     val g = TestGraphs.toAttributed(spark, lg)
     val (mins, rngs) = g.numStats
-    val back = FromScratch.componentOf(g, g.adjacencyRdd, 0L)
+    val back = FromScratch.componentOf(g, AttributedGraph.adjacency(g.edges), 0L)
     val reachable = FromScratch.componentOf(lg, 0, lg.allAlive)
     assert(back.n === reachable.size)
     reachable.foreach { i =>

@@ -3,24 +3,67 @@ package repro.graph
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.functions.col
 import scala.collection.mutable
+import repro.core.AttrDistance
 
 /** From-scratch maximal connected structures: each call clones `alive`,
   * recomputes every degree or support and re-runs the component search.
-  * Test oracles for the incremental [[Peel]]s, and for the [[PeelIndex]]
-  * fetch.
+  * Test oracles for the incremental [[Peel]]s, for the [[PeelIndex]] fetch
+  * and for the [[PriorityBfs.NodeStore]] lookups.
   */
 object FromScratch {
 
-  /** `q`'s connected component over `adjacency` (both orientations of a
-    * subset of `g`'s edges, see [[AttributedGraph.adjacency]]), holding only
-    * those edges: [[PriorityBfs.walk]] run on Spark, one filter job per BFS
-    * layer and one attribute fetch. Attributes come from `g`, normalized by
-    * the whole graph's stats. Empty when `q` has no edge in `adjacency`;
+  /** `G_q` by the BFS on Spark that [[PriorityBfs.collectGq]] replaced, over
+    * `adjacency` (both orientations of a subset of `g`'s edges, see
+    * [[AttributedGraph.adjacency]]): one filter job per expanded layer, one
+    * Catalyst `isin` row fetch, and one filter for the edges inside the
+    * unexpanded last layer. Attributes come from `g`, normalized by the
+    * whole graph's stats; throws when `q` is not in `g`.
+    */
+  def walk(g: AttributedGraph, adjacency: RDD[(Long, Long)], q: Long, minSize: Long, gamma: Double): LocalGraph = {
+    def edgesWhere(p: ((Long, Long)) => Boolean): Array[(Long, Long)] = adjacency.filter(p).collect()
+    val visited = mutable.LinkedHashSet(q)
+    val edges = mutable.ArrayBuffer.empty[(Long, Long)]
+    var layer: Seq[Long] = Seq(q)
+    var overshoot: Seq[Long] = Nil
+    while (visited.size < minSize && layer.nonEmpty && overshoot.isEmpty) {
+      val frontier = layer.toSet
+      val out = edgesWhere(e => frontier(e._1))
+      edges ++= out
+      val next = out.iterator.map(_._2).filterNot(visited).toSeq.distinct.sorted
+      if (visited.size + next.size <= minSize) {
+        visited ++= next
+        layer = next
+      } else overshoot = next
+    }
+    val ids = (visited ++ overshoot).toSeq
+    val rows = g.nodes.filter(col("id").isin(ids: _*)).collect().map(g.localNode).map(v => v._1 -> v).toMap
+    require(rows.contains(q), s"query node $q not in graph")
+    if (overshoot.nonEmpty) {
+      val (_, qText, qNum) = rows(q)
+      def f(v: Long): Double = {
+        val (_, t, nm) = rows(v)
+        AttrDistance.composite(t, nm, qText, qNum, gamma)
+      }
+      layer = overshoot.sortBy(v => (f(v), v)).take((minSize - visited.size).toInt)
+      visited ++= layer
+    }
+    if (layer.size > 1) {
+      val last = layer.toSet
+      edges ++= edgesWhere(e => last(e._1) && last(e._2))
+    }
+    LocalGraph.build(visited.toSeq.map(rows), edges.toSeq)
+  }
+
+  /** `G_q` over all of `g`'s edges: the oracle for [[PriorityBfs.collectGq]]. */
+  def collectGq(g: AttributedGraph, q: Long, minSize: Long, gamma: Double): LocalGraph =
+    walk(g, AttributedGraph.adjacency(g.edges), q, minSize, gamma)
+
+  /** `q`'s connected component over `adjacency`, holding only those edges:
+    * [[walk]] with no size bound. Empty when `q` has no edge in `adjacency`;
     * throws when `q` is not in `g`.
     */
   def componentOf(g: AttributedGraph, adjacency: RDD[(Long, Long)], q: Long): LocalGraph = {
-    val lg = PriorityBfs.walk(g, p => adjacency.filter(p).collect(),
-      ids => g.nodes.filter(col("id").isin(ids: _*)).collect(), q, Long.MaxValue, gamma = 0.0)
+    val lg = walk(g, adjacency, q, Long.MaxValue, gamma = 0.0)
     if (lg.n == 1) LocalGraph.build(Nil, Nil) else lg
   }
 

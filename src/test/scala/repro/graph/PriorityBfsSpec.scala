@@ -1,7 +1,11 @@
 package repro.graph
 
+import scala.collection.mutable
 import repro.{SparkSpec, TestGraphs}
+import repro.TestGraphs.sameGraph
+import repro.core.Hoeffding
 import repro.eval.Harness
+import repro.synthgraph.SynthGraph
 
 class PriorityBfsSpec extends SparkSpec {
 
@@ -72,5 +76,95 @@ class PriorityBfsSpec extends SparkSpec {
       assert(got.adj(i).map(got.ids).toSet === whole.adj(j).map(whole.ids).toSet.filter(got.ids.contains))
     }
     assert(got.edgeCount === 8) // 0-1, 1-2..1-5, 2-3, 3-4, 4-5
+  }
+
+  // ---- the node store against the filter-per-layer oracle -----------------
+
+  /** A planted graph of two blocks, plus an isolated node 900 and a separate
+    * edge 901-902.
+    */
+  private lazy val planted: AttributedGraph = {
+    val g = SynthGraph.homogeneous(spark, SynthGraph.HomoSpec(
+      nCommunities = 2, communitySize = 12, intraDeg = 6, interDeg = 1, bridges = 1, seed = 31)).graph
+    val nodes = g.nodes.collect().map(r => (r.getAs[Long]("id"), r.getSeq[String](2), r.getSeq[Double](3)))
+    val dims = nodes.head._3.size
+    val extra = Seq(900L, 901L, 902L).map(v => (v, Seq(s"x$v"), Seq.fill(dims)(v / 1000.0)))
+    AttributedGraph.homogeneous(spark, (nodes ++ extra).toSeq,
+      (g.edges.collect().map(AttributedGraph.edgePair) :+ ((901L, 902L))).toSeq).cached()
+  }
+
+  /** The Hoeffding minimum `|G_q|` on `planted` for 4-node communities
+    * (k = 3) at ε = 0.85: below the 24 block nodes, so a walk from a block
+    * trims its last layer.
+    */
+  private lazy val trimSize: Long = Hoeffding.minGqSize(planted.nodeCount, 4, 0.85, 0.05)
+
+  /** BFS depth of the farthest node from index 0. */
+  private def depth(lg: LocalGraph): Int = {
+    val dist = Array.fill(lg.n)(-1)
+    dist(0) = 0
+    val queue = mutable.Queue(0)
+    while (queue.nonEmpty) {
+      val u = queue.dequeue()
+      lg.adj(u).foreach(v => if (dist(v) < 0) { dist(v) = dist(u) + 1; queue += v })
+    }
+    dist.max
+  }
+
+  test("collectGq equals the filter-per-layer oracle for every node and three sizes") {
+    val g = planted
+    val n = g.nodeCount
+    assert(trimSize < 24)
+    val adjacency = AttributedGraph.adjacency(g.edges).cache()
+    var trimmed = 0
+    Seq(1L, trimSize, n + 1).foreach { minSize =>
+      g.nodes.collect().map(_.getAs[Long]("id")).foreach { q =>
+        val got = PriorityBfs.collectGq(g, q, minSize, gamma = 0.5)
+        val want = FromScratch.walk(g, adjacency, q, minSize, gamma = 0.5)
+        assert(sameGraph(got, want), s"q=$q minSize=$minSize")
+        if (minSize == trimSize && got.n == minSize) trimmed += 1
+      }
+    }
+    adjacency.unpersist()
+    assert(trimmed >= 20)
+  }
+
+  test("collectGq: an absent q throws, naming it; an isolated q returns {q}") {
+    val e = intercept[IllegalArgumentException](PriorityBfs.collectGq(planted, 99L, 10, 0.5))
+    assert(e.getMessage.contains("99"))
+    val lone = PriorityBfs.collectGq(planted, 900L, 10, 0.5)
+    assert(lone.ids.toSeq === Seq(900L))
+    assert(lone.edgeCount === 0)
+  }
+
+  test("collectGq: a walk stopped by size runs one job per expanded layer plus one") {
+    val path = TestGraphs.toAttributed(spark, TestGraphs.local(10, (0 until 9).map(i => (i, i + 1))))
+    path.nodeStore // built once, outside the counted walks
+    // Five layers {0}..{4} are expanded; the last one, {5}, is fetched alone.
+    val (lg, jobs) = jobsIn("path")(PriorityBfs.collectGq(path, 0L, 6, 0.5))
+    assert(lg.ids.toSeq === (0L until 6L))
+    assert(jobs === 6)
+
+    val g = planted
+    g.nodeStore
+    Seq(0L, 7L, 13L, 20L).foreach { q =>
+      val (gq, jobs) = jobsIn(s"planted-$q")(PriorityBfs.collectGq(g, q, trimSize, 0.5))
+      assert(gq.n === trimSize, s"q=$q")
+      // Layers 0 until depth were expanded; the last one is at `depth`.
+      assert(jobs === depth(gq) + 1, s"q=$q")
+    }
+    assert(jobsIn("minSize-1")(PriorityBfs.collectGq(g, 0L, 1, 0.5))._2 === 1)
+  }
+
+  test("collectGq on a store of several partitions: the first layer runs one task") {
+    val g = planted
+    val store = PriorityBfs.NodeStore.build(g, pairsPerPartition = 10)
+    assert(store.nodes.getNumPartitions > 4)
+    val (lg, ids) = jobIdsIn("partitioned")(PriorityBfs.walk(store.fetch, 0L, trimSize, 0.5))
+    assert(sameGraph(lg, PriorityBfs.collectGq(g, 0L, trimSize, 0.5)))
+    val tracker = spark.sparkContext.statusTracker
+    val tasks = ids.map(j => tracker.getJobInfo(j).get.stageIds.map(tracker.getStageInfo(_).get.numTasks).sum)
+    assert(tasks.head === 1)
+    assert(tasks.forall(_ <= store.nodes.getNumPartitions))
   }
 }
