@@ -66,35 +66,40 @@ object AttributedGraph {
   /** `(src, dst)` of a collected `edges` row. */
   def edgePair(r: Row): (Long, Long) = (r.getAs[Long]("src"), r.getAs[Long]("dst"))
 
-  /** Both orientations of every edge (`src`, `dst`) of `edges`, as pairs, in
-    * one fixed order: the edge order of the [[PriorityBfs.NodeStore]] and of
-    * a [[PeelIndex]] component.
-    */
+  /** Both orientations of every edge (`src`, `dst`) of `edges`, as pairs. */
   def adjacency(edges: DataFrame): RDD[(Long, Long)] =
     edges.select(col("src"), col("dst"))
       .union(edges.select(col("dst").as("src"), col("src").as("dst")))
       .rdd.map(edgePair)
 
   /** Adjacency pairs per partition of the per-graph RDDs built from
-    * [[outPairs]].
+    * [[nodeRecords]].
     */
   private[graph] val PairsPerPartition = 100000L
 
-  /** Each node's out-pairs in [[adjacency]] of `edges`, as (position in that
-    * order, other end), hash-partitioned by node with one partition per
-    * `pairsPerPartition` pairs and at least one. Two Spark jobs number and
-    * count the pairs.
+  /** Every node of `g` as a [[PriorityBfs.Node]]: its attributes normalized by
+    * `g`'s stats and its neighbours over `edges`, a subset of `g`'s edges.
+    * Hash-partitioned by id, with one partition per `pairsPerPartition` pairs
+    * of [[adjacency]] of `edges`, and at least one. One Spark job counts the
+    * pairs; the records are built by the job that first reads them.
     */
-  private[graph] def outPairs(edges: DataFrame, pairsPerPartition: Long): RDD[(Long, Array[(Long, Long)])] = {
-    val pairs = adjacency(edges).zipWithIndex()
+  private[graph] def nodeRecords(g: AttributedGraph, edges: DataFrame,
+                                 pairsPerPartition: Long): RDD[(Long, PriorityBfs.Node)] = {
+    val (mins, rngs) = g.numStats
+    val pairs = adjacency(edges)
     val part = new HashPartitioner(math.max(1, math.ceil(pairs.count().toDouble / pairsPerPartition).toInt))
-    pairs.map { case ((s, d), i) => (s, (i, d)) }.groupByKey(part).mapValues(_.toArray)
+    g.nodes.rdd.map(r => (r.getAs[Long]("id"), r)).cogroup(pairs, part).flatMapValues { case (rs, ds) =>
+      rs.map { r =>
+        val (text, num) = attributes(r, mins, rngs)
+        PriorityBfs.Node(text, num, ds.toArray)
+      }
+    }
   }
 
   /** `A^t(v)` and `A^#(v)` of a collected `nodes` row, the latter normalized
     * with the per-dimension `(mins, rngs)`; a null attribute is empty.
     */
-  private[graph] def attributes(r: Row, mins: Array[Double], rngs: Array[Double]): (Array[String], Array[Double]) = {
+  private def attributes(r: Row, mins: Array[Double], rngs: Array[Double]): (Array[String], Array[Double]) = {
     val t = Option(r.getSeq[String](r.fieldIndex("text"))).map(_.toArray).getOrElse(Array.empty[String])
     val nm = Option(r.getSeq[Double](r.fieldIndex("num"))).map(_.toArray).getOrElse(Array.empty[Double])
     (t, AttrDistance.normalize(nm, mins, rngs))

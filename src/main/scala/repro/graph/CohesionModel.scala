@@ -34,7 +34,7 @@ trait CohesionModel {
   def maximalConnected(g: AttributedGraph, q: Long): LocalGraph =
     g.peelIndex(this).componentOf(q) match {
       case Some(c) =>
-        val nodes = PriorityBfs.nodesOf(g, c)
+        val nodes = c.ids.zip(c.nodes).toMap
         PriorityBfs.walk(_.flatMap(v => nodes.get(v).map(v -> _)), q, Long.MaxValue, gamma = 0.0)
       case None =>
         require(!g.nodes.filter(col("id") === q).isEmpty, s"query node $q not in graph")

@@ -12,7 +12,8 @@ import repro.core.AttrDistance
   *
   * Node indices are `0 until n`; `ids(i)` maps back to the graph's node id.
   * `text`/`num` hold the (already normalized) attributes used for pairwise
-  * distances.
+  * distances. `adj(i)` lists i's neighbours once each, in ascending local
+  * index, whatever order the edges came in.
   */
 final class LocalGraph(
     val ids: Array[Long],
@@ -27,7 +28,7 @@ final class LocalGraph(
     edgePairs.foreach { case (u, v) =>
       if (u != v) { b(u) += v; b(v) += u }
     }
-    b.map(_.distinct.toArray)
+    b.map(_.toArray.sorted.distinct)
   }
 
   val indexOf: Map[Long, Int] = ids.zipWithIndex.toMap

@@ -1,7 +1,6 @@
 package repro.graph
 
 import org.apache.spark.rdd.RDD
-import org.apache.spark.sql.Row
 import scala.collection.mutable
 
 /** The connected components of the graph that survives a cohesion model's
@@ -25,11 +24,11 @@ final class PeelIndex private (val components: RDD[(Long, PeelIndex.Component)],
 
 object PeelIndex {
 
-  /** One component: its node ids in ascending order, the raw `nodes` rows of
-    * those nodes, and both orientations of each of its edges, in the order of
-    * the peeled adjacency ([[AttributedGraph.adjacency]]).
+  /** One component: its node ids in ascending order and their
+    * [[PriorityBfs.Node]]s, attributes normalized by the whole graph's stats
+    * and neighbours over the peeled edges.
     */
-  final case class Component(ids: Array[Long], rows: Array[Row], edges: Array[(Long, Long)]) {
+  final case class Component(ids: Array[Long], nodes: Array[PriorityBfs.Node]) {
     def contains(v: Long): Boolean = java.util.Arrays.binarySearch(ids, v) >= 0
   }
 
@@ -43,18 +42,19 @@ object PeelIndex {
     * other node holds only that id, its label. A 40-node path takes 8-9
     * rounds, whatever its id order.
     *
-    * Spark jobs: the peel's, one or two that number and count the
-    * adjacency's pairs, one per round (it also counts the clusters that
-    * changed), and one that builds the components.
+    * Spark jobs, once `g.numStats` is known: the peel's, one that counts the
+    * peeled adjacency's pairs, one per round (it also counts the clusters
+    * that changed), and one that builds the components.
     */
   def build(g: AttributedGraph, model: CohesionModel): PeelIndex = {
     val t0 = System.nanoTime()
-    // Each node's out-pairs as (position in the adjacency, other end).
-    val out = AttributedGraph.outPairs(model.peelEdges(g.edges), AttributedGraph.PairsPerPartition).persist()
-    val part = out.partitioner.get
+    // The nodes that keep an edge in the peeled graph.
+    val records = AttributedGraph.nodeRecords(g, model.peelEdges(g.edges), AttributedGraph.PairsPerPartition)
+      .filter(_._2.dst.nonEmpty).persist()
+    val part = records.partitioner.get
 
-    // Clusters as ascending id arrays, partitioned as `out`.
-    var clusters = out.mapPartitions(_.map { case (v, es) => (v, (v +: es.map(_._2)).sorted) },
+    // Clusters as ascending id arrays, partitioned as `records`.
+    var clusters = records.mapPartitions(_.map { case (v, n) => (v, (v +: n.dst).sorted) },
       preservesPartitioning = true)
     var rounds = 0
     var changed = 1L
@@ -73,18 +73,16 @@ object PeelIndex {
     }
     val labels = clusters.mapValues(_(0))
 
-    val rows = g.nodes.rdd.map(r => (r.getAs[Long]("id"), r))
-    val components = out.join(labels).join(rows, part)
-      .map { case (v, ((es, l), r)) => (l, (v, r, es)) }
+    val components = records.join(labels)
+      .map { case (v, (n, l)) => (l, (v, n)) }
       .groupByKey(part)
       .mapValues { members =>
         val ms = members.toArray.sortBy(_._1)
-        val edges = ms.flatMap { case (v, _, es) => es.map { case (i, d) => (i, (v, d)) } }
-        Component(ms.map(_._1), ms.map(_._2), edges.sortBy(_._1).map(_._2))
+        Component(ms.map(_._1), ms.map(_._2))
       }
     components.localCheckpoint()
     components.count()
-    out.unpersist()
+    records.unpersist()
     new PeelIndex(components, rounds, (System.nanoTime() - t0) / 1e6)
   }
 }

@@ -20,11 +20,9 @@ import repro.core.AttrDistance
 object PriorityBfs {
 
   /** A node as the walk reads it: `A^t(v)` as stored, `Z(A^#(v))`
-    * normalized by the whole graph's stats, and its out-pairs as parallel
-    * arrays, `dst(i)` being the other end of the pair at position `pos(i)`
-    * of one fixed edge order.
+    * normalized by the whole graph's stats, and its neighbours `dst`.
     */
-  final case class Node(text: Array[String], num: Array[Double], pos: Array[Long], dst: Array[Long])
+  final case class Node(text: Array[String], num: Array[Double], dst: Array[Long])
 
   /** G's adjacency keyed by node ([[AttributedGraph.nodeStore]]): one cached
     * record per node of `G`, its [[Node]] over [[AttributedGraph.adjacency]]
@@ -49,21 +47,14 @@ object PriorityBfs {
   object NodeStore {
 
     /** One partition per `pairsPerPartition` adjacency pairs, at least one,
-      * as the [[PeelIndex]] is sized. Spark jobs: two that number and count
-      * the pairs, and one that builds the records.
+      * as the [[PeelIndex]] is sized ([[AttributedGraph.nodeRecords]]).
+      * Spark jobs, once `g.numStats` is known: one that counts the pairs and
+      * one that builds the records.
       */
     private[graph] def build(g: AttributedGraph,
                              pairsPerPartition: Long = AttributedGraph.PairsPerPartition): NodeStore = {
       val t0 = System.nanoTime()
-      val (mins, rngs) = g.numStats
-      val out = AttributedGraph.outPairs(g.edges, pairsPerPartition)
-      val nodes = g.nodes.rdd.map(r => (r.getAs[Long]("id"), r))
-        .leftOuterJoin(out, out.partitioner.get)
-        .mapValues { case (r, es) =>
-          val (text, num) = AttributedGraph.attributes(r, mins, rngs)
-          val ps = es.getOrElse(Array.empty[(Long, Long)])
-          Node(text, num, ps.map(_._1), ps.map(_._2))
-        }
+      val nodes = AttributedGraph.nodeRecords(g, g.edges, pairsPerPartition)
       nodes.localCheckpoint()
       nodes.count()
       new NodeStore(nodes, (System.nanoTime() - t0) / 1e6)
@@ -84,37 +75,22 @@ object PriorityBfs {
   def collectGq(g: AttributedGraph, q: Long, minSize: Long, gamma: Double): LocalGraph =
     walk(g.nodeStore.fetch, q, minSize, gamma)
 
-  /** `c`'s nodes as the walk reads them, attributes normalized by `g`'s
-    * stats and positions those of `c.edges`: the source
-    * [[CohesionModel.maximalConnected]] walks, with no Spark job.
-    */
-  private[graph] def nodesOf(g: AttributedGraph, c: PeelIndex.Component): Map[Long, Node] = {
-    val (mins, rngs) = g.numStats
-    val out = c.edges.indices.groupBy(i => c.edges(i)._1)
-    c.ids.indices.map { i =>
-      val (text, num) = AttributedGraph.attributes(c.rows(i), mins, rngs)
-      val ps = out.getOrElse(c.ids(i), IndexedSeq.empty).toArray
-      c.ids(i) -> Node(text, num, ps.map(_.toLong), ps.map(c.edges(_)._2))
-    }.toMap
-  }
-
   /** The BFS behind [[collectGq]] and [[CohesionModel.maximalConnected]].
     * `fetch(ids)` returns the [[Node]] of each of `ids` that is in the walked
     * graph; the walk calls it once per expanded layer and once for the last
-    * layer when it stops by size, and never twice for one node. Edges keep
-    * the order of the nodes' out-pair positions. With `minSize =
-    * Long.MaxValue` the walk collects q's whole connected component; γ only
-    * ranks an overshooting layer, and such a walk never overshoots. Throws
-    * `IllegalArgumentException` when `q` is not in the walked graph.
+    * layer when it stops by size, and never twice for one node. With
+    * `minSize = Long.MaxValue` the walk collects q's whole connected
+    * component; γ only ranks an overshooting layer, and such a walk never
+    * overshoots. Throws `IllegalArgumentException` when `q` is not in the
+    * walked graph.
     */
   private[graph] def walk(fetch: Seq[Long] => Iterable[(Long, Node)],
                           q: Long, minSize: Long, gamma: Double): LocalGraph = {
     val fetched = mutable.Map.empty[Long, Node]
-    // The out-pairs of `layer` whose other end passes `keep`, in position order.
+    // The out-pairs of `layer` whose other end passes `keep`.
     def pairsOf(layer: Seq[Long], keep: Long => Boolean): Array[(Long, Long)] =
-      layer.iterator.flatMap(v => fetched.get(v).iterator.flatMap { n =>
-        n.pos.indices.iterator.filter(i => keep(n.dst(i))).map(i => (n.pos(i), (v, n.dst(i))))
-      }).toArray.sortBy(_._1).map(_._2)
+      layer.iterator.flatMap(v => fetched.get(v).iterator.flatMap(_.dst.iterator.filter(keep).map((v, _))))
+        .toArray
 
     val visited = mutable.LinkedHashSet(q)
     val edges = mutable.ArrayBuffer.empty[(Long, Long)]

@@ -134,7 +134,7 @@ class CohesionModelSpec extends SparkSpec {
   /** The index's components as (label, node ids, edge pairs). */
   private def indexed(g: AttributedGraph, model: CohesionModel): Set[(Long, Set[Long], Set[(Long, Long)])] =
     g.peelIndex(model).components.collect().map { case (l, c) =>
-      (l, c.ids.toSet, c.edges.toSet)
+      (l, c.ids.toSet, c.ids.indices.flatMap(i => c.nodes(i).dst.map((c.ids(i), _))).toSet)
     }.toSet
 
   test("peelIndex: components equal the peeled graph's, labelled by their least id") {
@@ -173,6 +173,17 @@ class CohesionModelSpec extends SparkSpec {
     val g = TestGraphs.toAttributed(spark, lg)
     assert(g.peelIndex(CoreModel(1)).rounds === 9)
     assert(indexed(g, CoreModel(1)).map(c => (c._1, c._2)) === Set((0L, (0L until 40L).toSet)))
+  }
+
+  test("peelIndex: the build runs the peel's jobs, one count, one per round and one build") {
+    Seq(CoreModel(3), TrussModel(4)).foreach { model =>
+      val g = TestGraphs.toAttributed(spark, TestGraphs.randomLocal(30, 0.3, seed = 801))
+      g.numStats
+      val peel = jobsIn(s"peel-$model")(model.peelEdges(g.edges))._2
+      val (index, jobs) = jobsIn(s"index-$model")(PeelIndex.build(g, model))
+      assert(index.rounds > 1, model)
+      assert(jobs === peel + 1 + index.rounds + 1, model)
+    }
   }
 
   test("maximalConnected: on a warm cache equals a fresh peel and BFS, for every q") {

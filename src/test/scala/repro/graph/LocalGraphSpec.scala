@@ -7,12 +7,19 @@ import repro.TestGraphs
 class LocalGraphSpec extends AnyFunSuite {
 
   test("build: adjacency is symmetric, deduplicated, loop-free") {
-    val lg = TestGraphs.local(4, Seq((0, 1), (1, 0), (0, 1), (2, 2), (1, 2)))
-    assert(lg.adj(0).toSet === Set(1))
-    assert(lg.adj(1).toSet === Set(0, 2))
-    assert(lg.adj(2).toSet === Set(1))
+    val edges = Seq((1, 2), (0, 1), (1, 0), (0, 1), (2, 2))
+    val lg = TestGraphs.local(4, edges)
+    assert(lg.adj(0).toSeq === Seq(1))
+    assert(lg.adj(1).toSeq === Seq(0, 2))
+    assert(lg.adj(2).toSeq === Seq(1))
     assert(lg.adj(3).isEmpty)
     assert(lg.edgeCount === 2)
+    // Neighbours come in ascending local index, whatever order the edges come in.
+    assert(TestGraphs.sameGraph(TestGraphs.local(4, edges.reverse), lg))
+    val r = TestGraphs.randomLocal(30, 0.3, seed = 11)
+    val pairs = (0 until r.n).flatMap(u => r.adj(u).filter(_ > u).map((u, _)))
+    assert(TestGraphs.sameGraph(TestGraphs.local(30, new scala.util.Random(5).shuffle(pairs)),
+      TestGraphs.local(30, pairs.reverse)))
   }
 
   test("build: edges with unknown endpoints are dropped") {

@@ -156,6 +156,12 @@ class PriorityBfsSpec extends SparkSpec {
     assert(jobsIn("minSize-1")(PriorityBfs.collectGq(g, 0L, 1, 0.5))._2 === 1)
   }
 
+  test("NodeStore.build runs two Spark jobs: one counts the pairs, one builds the records") {
+    val g = planted
+    g.numStats
+    assert(jobsIn("store")(PriorityBfs.NodeStore.build(g))._2 === 2)
+  }
+
   test("collectGq on a store of several partitions: the first layer runs one task") {
     val g = planted
     val store = PriorityBfs.NodeStore.build(g, pairsPerPartition = 10)
