@@ -8,7 +8,7 @@ import repro.core.AttrDistance
 /** From-scratch maximal connected structures: each call clones `alive`,
   * recomputes every degree or support and re-runs the component search.
   * Test oracles for the incremental [[Peel]]s, for the [[PeelIndex]] fetch
-  * and for the [[PriorityBfs.NodeStore]] lookups.
+  * and for the [[PriorityBfs.NodeStore]] fetches.
   */
 object FromScratch {
 
@@ -16,7 +16,8 @@ object FromScratch {
     * `adjacency` (both orientations of a subset of `g`'s edges, see
     * [[AttributedGraph.adjacency]]): one filter job per expanded layer, one
     * Catalyst `isin` row fetch, and one filter for the edges inside the
-    * unexpanded last layer. Attributes come from `g`, normalized by the
+    * unexpanded last layer; `collectGq` costs one job on a store of one
+    * partition. Attributes come from `g`, normalized by the
     * whole graph's stats; throws when `q` is not in `g`.
     */
   def walk(g: AttributedGraph, adjacency: RDD[(Long, Long)], q: Long, minSize: Long, gamma: Double): LocalGraph = {

@@ -111,47 +111,66 @@ class PriorityBfsSpec extends SparkSpec {
     dist.max
   }
 
-  test("collectGq equals the filter-per-layer oracle for every node and three sizes") {
+  /** `FromScratch.walk` on `planted` for every node at the sizes 1,
+    * [[trimSize]] and `|V| + 1`, keyed by `(q, minSize)`.
+    */
+  private lazy val oracle: Map[(Long, Long), LocalGraph] = {
     val g = planted
-    val n = g.nodeCount
-    assert(trimSize < 24)
     val adjacency = AttributedGraph.adjacency(g.edges).cache()
-    var trimmed = 0
-    Seq(1L, trimSize, n + 1).foreach { minSize =>
-      g.nodes.collect().map(_.getAs[Long]("id")).foreach { q =>
-        val got = PriorityBfs.collectGq(g, q, minSize, gamma = 0.5)
-        val want = FromScratch.walk(g, adjacency, q, minSize, gamma = 0.5)
-        assert(sameGraph(got, want), s"q=$q minSize=$minSize")
-        if (minSize == trimSize && got.n == minSize) trimmed += 1
-      }
-    }
+    val walks = for {
+      minSize <- Seq(1L, trimSize, g.nodeCount + 1)
+      q <- g.nodes.collect().map(_.getAs[Long]("id")).toSeq
+    } yield (q, minSize) -> FromScratch.walk(g, adjacency, q, minSize, gamma = 0.5)
     adjacency.unpersist()
+    walks.toMap
+  }
+
+  test("collectGq equals the filter-per-layer oracle for every node and three sizes") {
+    assert(trimSize < 24)
+    var trimmed = 0
+    oracle.foreach { case ((q, minSize), want) =>
+      val got = PriorityBfs.collectGq(planted, q, minSize, gamma = 0.5)
+      assert(sameGraph(got, want), s"q=$q minSize=$minSize")
+      if (minSize == trimSize && got.n == minSize) trimmed += 1
+    }
     assert(trimmed >= 20)
   }
 
+  test("a walk over a store of several partitions equals the oracle, in at most one job per layer") {
+    val store = PriorityBfs.NodeStore.build(planted, pairsPerPartition = 10)
+    assert(store.nodes.getNumPartitions > 4)
+    oracle.foreach { case ((q, minSize), want) =>
+      val (got, jobs) = jobsIn(s"parts-$q-$minSize")(PriorityBfs.walk(store.fetch(_, minSize), q, minSize, 0.5))
+      assert(sameGraph(got, want), s"q=$q minSize=$minSize")
+      assert(jobs <= depth(got) + 1, s"q=$q minSize=$minSize")
+    }
+  }
+
   test("collectGq: an absent q throws, naming it; an isolated q returns {q}") {
-    val e = intercept[IllegalArgumentException](PriorityBfs.collectGq(planted, 99L, 10, 0.5))
+    planted.nodeStore
+    val (e, jobs) = jobsIn("absent")(intercept[IllegalArgumentException](PriorityBfs.collectGq(planted, 99L, 10, 0.5)))
     assert(e.getMessage.contains("99"))
+    assert(jobs === 1)
     val lone = PriorityBfs.collectGq(planted, 900L, 10, 0.5)
     assert(lone.ids.toSeq === Seq(900L))
     assert(lone.edgeCount === 0)
   }
 
-  test("collectGq: a walk stopped by size runs one job per expanded layer plus one") {
+  test("collectGq: a walk on a store of one partition runs one job") {
     val path = TestGraphs.toAttributed(spark, TestGraphs.local(10, (0 until 9).map(i => (i, i + 1))))
     path.nodeStore // built once, outside the counted walks
-    // Five layers {0}..{4} are expanded; the last one, {5}, is fetched alone.
+    // The fetch of {0} reads ahead through the layers {1}..{5}.
     val (lg, jobs) = jobsIn("path")(PriorityBfs.collectGq(path, 0L, 6, 0.5))
     assert(lg.ids.toSeq === (0L until 6L))
-    assert(jobs === 6)
+    assert(jobs === 1)
 
     val g = planted
     g.nodeStore
     Seq(0L, 7L, 13L, 20L).foreach { q =>
       val (gq, jobs) = jobsIn(s"planted-$q")(PriorityBfs.collectGq(g, q, trimSize, 0.5))
       assert(gq.n === trimSize, s"q=$q")
-      // Layers 0 until depth were expanded; the last one is at `depth`.
-      assert(jobs === depth(gq) + 1, s"q=$q")
+      assert(depth(gq) > 1, s"q=$q")
+      assert(jobs === 1, s"q=$q")
     }
     assert(jobsIn("minSize-1")(PriorityBfs.collectGq(g, 0L, 1, 0.5))._2 === 1)
   }
@@ -166,7 +185,7 @@ class PriorityBfsSpec extends SparkSpec {
     val g = planted
     val store = PriorityBfs.NodeStore.build(g, pairsPerPartition = 10)
     assert(store.nodes.getNumPartitions > 4)
-    val (lg, ids) = jobIdsIn("partitioned")(PriorityBfs.walk(store.fetch, 0L, trimSize, 0.5))
+    val (lg, ids) = jobIdsIn("partitioned")(PriorityBfs.walk(store.fetch(_, trimSize), 0L, trimSize, 0.5))
     assert(sameGraph(lg, PriorityBfs.collectGq(g, 0L, trimSize, 0.5)))
     val tracker = spark.sparkContext.statusTracker
     val tasks = ids.map(j => tracker.getJobInfo(j).get.stageIds.map(tracker.getStageInfo(_).get.numTasks).sum)
