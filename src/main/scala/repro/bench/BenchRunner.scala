@@ -74,7 +74,7 @@ object BenchRunner {
   }
 
   /** Benchmark parameters the tables set per table. The method parameters
-    * all tables share are constants below, and `Sea` fixes α and β; the
+    * all tables share are constants below, `Blb` fixes α and `Sea` β; the
     * deviations from the paper's defaults are documented in EXPERIMENTS.md:
     * queries default to 15 (paper 200) for the single-machine time budget.
     */

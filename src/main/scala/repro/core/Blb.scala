@@ -16,10 +16,15 @@ object Blb {
 
   /** One BLB run: `deltaStar` is the point estimate (the exact mean of the
     * candidate's f-values, matching Definition 4), `moe` the estimated
-    * half-width ε of the `1−α` CI, `sBlb = Σ|S_i|` the number of subsample
+    * half-width ε of the 95% CI, `sBlb = Σ|S_i|` the number of subsample
     * points used (feeds Eq. 12).
     */
   final case class Estimate(deltaStar: Double, moe: Double, sBlb: Int)
+
+  /** `z_{α/2}` of the `1−α` = 95% confidence the paper fixes (§VII-A): the
+    * 97.5% standard-normal quantile, as Acklam's approximation computes it.
+    */
+  val Z = 1.959963986120195
 
   /** Subsample size `b = ⌈N^m⌉` and count `s = max(1, ⌊N/b⌋)` so that
     * `s·b ≤ N` as required by §V-B.
@@ -31,14 +36,13 @@ object Blb {
   }
 
   /** Driver-side BLB over the candidate community's f-values. */
-  def estimate(fValues: Array[Double], alpha: Double, m: Double, r: Int, seed: Long): Estimate = {
+  def estimate(fValues: Array[Double], m: Double, r: Int, seed: Long): Estimate = {
     val nTotal = fValues.length
     val deltaStar = Stats.mean(fValues)
-    val z = Stats.zCritical(alpha)
     if (nTotal < 4) {
       // Too small to subsample — plain CLT fallback.
       val sigma = Stats.stddev(fValues) / math.sqrt(math.max(nTotal, 1).toDouble)
-      return Estimate(deltaStar, z * sigma, nTotal)
+      return Estimate(deltaStar, Z * sigma, nTotal)
     }
     val rnd = new Random(seed)
     val (b, s) = subsamplePlan(nTotal, m)
@@ -51,13 +55,13 @@ object Blb {
         while (j < nTotal) { acc += sub(rnd.nextInt(b)); j += 1 }
         acc / nTotal
       }
-      z * Stats.stddev(resampleMeans)
+      Z * Stats.stddev(resampleMeans)
     }
     Estimate(deltaStar, moes.sum / s, s * b)
   }
 
   /** Theorem 11's MoE threshold: the guarantee `|δ*−δ|/δ ≤ e` holds (w.p.
-    * `1−α`) when `ε ≤ δ*·e/(1+e)`.
+    * 95%) when `ε ≤ δ*·e/(1+e)`.
     */
   def accuracyBound(deltaStar: Double, e: Double): Double = deltaStar * e / (1 + e)
 

@@ -26,7 +26,6 @@ object Sea {
   val MaxRounds = 5         // the paper's N_e ≤ 5
   private val BlbM = 0.6    // BLB scale factor m: subsamples of size N^m
   private val BlbR = 60     // BLB resamples per subsample
-  private val Alpha = 0.05  // CI confidence 1−α = 95%
   private val Beta = 0.05   // Hoeffding 1−β = 95%
 
   final case class Config(
@@ -106,7 +105,7 @@ object Sea {
         // Eq. 12, so the rounds depend on it.
         if (cfg.sizeBound.forall(cur.size <= _._2)) {
           val fv = cur.iterator.filter(_ != qIdx).map(fLoc).toArray
-          val est = Blb.estimate(fv, Alpha, BlbM, BlbR, cfg.seed + round)
+          val est = Blb.estimate(fv, BlbM, BlbR, cfg.seed + round)
           if (roundBest.forall(_.deltaStar > est.deltaStar)) roundBest = Some(est)
           if (withinL(cur.size)) {
             converged = Blb.satisfies(est, cfg.e)

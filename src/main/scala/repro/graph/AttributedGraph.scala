@@ -1,6 +1,5 @@
 package repro.graph
 
-import org.apache.spark.HashPartitioner
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.functions._
@@ -36,12 +35,13 @@ final case class AttributedGraph(nodes: DataFrame, edges: DataFrame) {
 
   private val indexes = mutable.Map.empty[CohesionModel, PeelIndex]
 
-  /** `model`'s [[PeelIndex]] on this graph, built on first use. Neither the
-    * peel nor the component labels depend on the query node, so every later
-    * call reuses them. Concurrent first calls wait for one build.
+  /** `model`'s [[PeelIndex]] on this graph, built on first use in the
+    * partitions of [[nodeStore]]. Neither the peel nor the component labels
+    * depend on the query node, so every later call reuses them. Concurrent
+    * first calls wait for one build.
     */
   def peelIndex(model: CohesionModel): PeelIndex =
-    indexes.synchronized(indexes.getOrElseUpdate(model, PeelIndex.build(this, model)))
+    indexes.synchronized(indexes.getOrElseUpdate(model, PeelIndex.build(nodeStore, model)))
 
   /** `(id, A^t(v), Z(A^#(v)))` of a collected `nodes` row, normalized with
     * this graph's stats — the node shape [[LocalGraph.build]] takes.
@@ -72,34 +72,10 @@ object AttributedGraph {
       .union(edges.select(col("dst").as("src"), col("src").as("dst")))
       .rdd.map(edgePair)
 
-  /** Adjacency pairs per partition of the per-graph RDDs built from
-    * [[nodeRecords]].
-    */
-  private[graph] val PairsPerPartition = 100000L
-
-  /** Every node of `g` as a [[PriorityBfs.Node]]: its attributes normalized by
-    * `g`'s stats and its neighbours over `edges`, a subset of `g`'s edges.
-    * Hash-partitioned by id, with one partition per `pairsPerPartition` pairs
-    * of [[adjacency]] of `edges`, and at least one. One Spark job counts the
-    * pairs; the records are built by the job that first reads them.
-    */
-  private[graph] def nodeRecords(g: AttributedGraph, edges: DataFrame,
-                                 pairsPerPartition: Long): RDD[(Long, PriorityBfs.Node)] = {
-    val (mins, rngs) = g.numStats
-    val pairs = adjacency(edges)
-    val part = new HashPartitioner(math.max(1, math.ceil(pairs.count().toDouble / pairsPerPartition).toInt))
-    g.nodes.rdd.map(r => (r.getAs[Long]("id"), r)).cogroup(pairs, part).flatMapValues { case (rs, ds) =>
-      rs.map { r =>
-        val (text, num) = attributes(r, mins, rngs)
-        PriorityBfs.Node(text, num, ds.toArray)
-      }
-    }
-  }
-
   /** `A^t(v)` and `A^#(v)` of a collected `nodes` row, the latter normalized
     * with the per-dimension `(mins, rngs)`; a null attribute is empty.
     */
-  private def attributes(r: Row, mins: Array[Double], rngs: Array[Double]): (Array[String], Array[Double]) = {
+  private[graph] def attributes(r: Row, mins: Array[Double], rngs: Array[Double]): (Array[String], Array[Double]) = {
     val t = Option(r.getSeq[String](r.fieldIndex("text"))).map(_.toArray).getOrElse(Array.empty[String])
     val nm = Option(r.getSeq[Double](r.fieldIndex("num"))).map(_.toArray).getOrElse(Array.empty[Double])
     (t, AttrDistance.normalize(nm, mins, rngs))

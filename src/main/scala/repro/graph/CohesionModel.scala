@@ -1,7 +1,5 @@
 package repro.graph
 
-import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions.col
 import scala.collection.mutable
 
 /** A structure-cohesiveness model (§II-A / §VI-C): given a set of alive
@@ -9,15 +7,12 @@ import scala.collection.mutable
   * and maintain it under node deletions ([[Peel]]). The maintenance is the
   * exact enumeration's per-state "k-core maintenance" (§IV-B); SEA's greedy
   * candidate search (§V-B) and the LocATC/VAC peels use it too. On the
-  * distributed graph the model peels `G` with Spark, once per graph, and
-  * q's maximal connected structure (§IV-A) is fetched from the peeled
-  * graph's component index; Exact and the baselines then search it on the
-  * driver.
+  * distributed graph the same peel runs once per graph inside the
+  * partitions of G's node store ([[PeelIndex]]), and q's maximal connected
+  * structure (§IV-A) is fetched from the peeled graph's component index;
+  * Exact and the baselines then search it on the driver.
   */
 trait CohesionModel {
-
-  /** The edges (`src`, `dst`) that survive this model's distributed peel. */
-  def peelEdges(edges: DataFrame): DataFrame
 
   /** Maximal connected cohesive subgraph of `g` containing `q`, collected:
     * the component of `q` in this model's [[PeelIndex]] on `g`, walked on the
@@ -29,16 +24,14 @@ trait CohesionModel {
     * A, the structure of G[A] equals that of the peeled graph restricted to
     * A. Attributes are normalized by the whole graph's stats. Empty when `q`
     * keeps no edge; throws `IllegalArgumentException` when `q` is not in `g`,
-    * which takes a second job.
+    * which the fetch reads from G's node store.
     */
   def maximalConnected(g: AttributedGraph, q: Long): LocalGraph =
     g.peelIndex(this).componentOf(q) match {
       case Some(c) =>
         val nodes = c.ids.zip(c.nodes).toMap
         PriorityBfs.walk(_.flatMap(v => nodes.get(v).map(v -> _)), q, Long.MaxValue, gamma = 0.0)
-      case None =>
-        require(!g.nodes.filter(col("id") === q).isEmpty, s"query node $q not in graph")
-        LocalGraph.build(Nil, Nil)
+      case None => LocalGraph.build(Nil, Nil)
     }
 
   /** q's maximal connected cohesive subgraph of `g[alive]`, maintained under
@@ -53,6 +46,14 @@ trait CohesionModel {
   final def maximal(g: LocalGraph, alive: mutable.BitSet, q: Int): mutable.BitSet =
     peel(g, alive, q).alive
 
+  /** This model's structure of the whole of `g`, with no query node, so no
+    * component is dropped. The nodes from index `pinnedFrom` on are pinned:
+    * each stands for a node that another partition peels ([[PeelIndex]]).
+    * The cascade never removes a pinned node, nor (the truss) an edge
+    * between two pinned nodes; they count toward the rest only.
+    */
+  private[graph] def peelAll(g: LocalGraph, pinnedFrom: Int): Peel
+
   /** Minimum node count of a valid community under this model. */
   def minCommunitySize: Int
 }
@@ -63,7 +64,9 @@ trait CohesionModel {
   * whatever leaves q's component; once q goes, the structure is empty, so it
   * is always either empty or a valid community. Every removal is pushed on a
   * trail, and `undo(mark)` pops back to the state at `mark`: a search tree
-  * applies a branch, descends and pops back, with no copy per state.
+  * applies a branch, descends and pops back, with no copy per state. With no
+  * query node (`q = -1`, [[CohesionModel.peelAll]]) nothing is dropped for
+  * leaving a component.
   */
 abstract class Peel(val g: LocalGraph, val q: Int, trailCapacity: Int) {
 
@@ -91,6 +94,9 @@ abstract class Peel(val g: LocalGraph, val q: Int, trailCapacity: Int) {
     cascade()
     settle()
   }
+
+  /** Whether the edge from `u` to `g.adj(u)(j)` is in the structure. */
+  def keeps(u: Int, j: Int): Boolean = in(u) && linked(u, j)
 
   /** Pops back to the state at `mark`, undoing removals in reverse order. */
   def undo(mark: Int): Unit = while (top > mark) { top -= 1; restore(trail(top)) }
@@ -121,10 +127,11 @@ abstract class Peel(val g: LocalGraph, val q: Int, trailCapacity: Int) {
   /** Peels what the last removals left below the model's threshold. */
   protected def cascade(): Unit
 
-  /** Drops every node outside q's component, and everything once q is gone.
-    * Removing a whole component changes no degree or support inside q's.
+  /** Drops every node outside q's component, and everything once q is gone;
+    * nothing with no query node. Removing a whole component changes no
+    * degree or support inside q's.
     */
-  private def settle(): Unit = {
+  private def settle(): Unit = if (q >= 0) {
     var reached = 0
     if (in(q)) {
       epoch += 1
@@ -174,11 +181,12 @@ final case class CoreModel(k: Int) extends CohesionModel {
 
   override def minCommunitySize: Int = k + 1
 
-  override def peelEdges(edges: DataFrame): DataFrame = CoreDecomposition.kCoreEdges(edges, k)
+  override def peel(g: LocalGraph, alive: mutable.BitSet, q: Int): Peel = new CorePeel(g, alive, q, g.n)
 
-  override def peel(g: LocalGraph, alive: mutable.BitSet, q: Int): Peel = new CorePeel(g, alive, q)
+  override private[graph] def peelAll(g: LocalGraph, pinnedFrom: Int): Peel =
+    new CorePeel(g, g.allAlive, -1, pinnedFrom)
 
-  private final class CorePeel(g: LocalGraph, start: mutable.BitSet, q: Int)
+  private final class CorePeel(g: LocalGraph, start: mutable.BitSet, q: Int, pinnedFrom: Int)
       extends Peel(g, q, g.n) {
     // A removed node's degree stays frozen until undo brings it back.
     private val deg = new Array[Int](g.n)
@@ -188,7 +196,7 @@ final case class CoreModel(k: Int) extends CohesionModel {
     alive ++= start
     alive.foreach { u =>
       deg(u) = g.degreeWithin(u, alive)
-      if (deg(u) < k) { pending(pend) = u; pend += 1 }
+      if (deg(u) < k && u < pinnedFrom) { pending(pend) = u; pend += 1 }
     }
     build()
 
@@ -201,7 +209,7 @@ final case class CoreModel(k: Int) extends CohesionModel {
         val w = a(j)
         if (in(w)) {
           deg(w) -= 1
-          if (deg(w) == k - 1) { pending(pend) = w; pend += 1 }
+          if (deg(w) == k - 1 && w < pinnedFrom) { pending(pend) = w; pend += 1 }
         }
         j += 1
       }
@@ -233,11 +241,12 @@ final case class TrussModel(k: Int) extends CohesionModel {
 
   override def minCommunitySize: Int = k
 
-  override def peelEdges(edges: DataFrame): DataFrame = TrussDecomposition.kTrussEdges(edges, k)
+  override def peel(g: LocalGraph, alive: mutable.BitSet, q: Int): Peel = new TrussPeel(g, alive, q, g.n)
 
-  override def peel(g: LocalGraph, alive: mutable.BitSet, q: Int): Peel = new TrussPeel(g, alive, q)
+  override private[graph] def peelAll(g: LocalGraph, pinnedFrom: Int): Peel =
+    new TrussPeel(g, g.allAlive, -1, pinnedFrom)
 
-  private final class TrussPeel(g: LocalGraph, start: mutable.BitSet, q: Int)
+  private final class TrussPeel(g: LocalGraph, start: mutable.BitSet, q: Int, pinnedFrom: Int)
       extends Peel(g, q, g.n + g.edgeCount.toInt) {
     // Edge ids: eid(u)(j) names the edge to g.adj(u)(j); ends(2e), ends(2e+1)
     // are its endpoints.
@@ -254,6 +263,7 @@ final case class TrussModel(k: Int) extends CohesionModel {
       b.result()
     }
     private val m = ends.length / 2
+    private val pinned = Array.tabulate(m)(e => ends(2 * e) >= pinnedFrom && ends(2 * e + 1) >= pinnedFrom)
     // A removed edge's support stays frozen until undo brings it back.
     private val live = new Array[Boolean](m)
     private val support = new Array[Int](m)
@@ -273,12 +283,12 @@ final case class TrussModel(k: Int) extends CohesionModel {
       }
     }
     alive.filterInPlace(edgesAt(_) > 0)
-    (0 until m).foreach(e => if (live(e) && support(e) < k - 2) { pending(pend) = e; pend += 1 })
+    (0 until m).foreach(e => if (live(e) && support(e) < k - 2 && !pinned(e)) { pending(pend) = e; pend += 1 })
     build()
 
     /** Adds `delta` to the support of both other edges of every live
-      * triangle on `u`–`v`; returns how many there are. A support that drops
-      * below k−2 is queued.
+      * triangle on `u`–`v`; returns how many there are. An unpinned edge
+      * whose support drops below k−2 is queued.
       */
     private def triangles(u: Int, v: Int, delta: Int): Int = {
       mateEpoch += 1
@@ -295,8 +305,8 @@ final case class TrussModel(k: Int) extends CohesionModel {
         if (live(e2) && mateStamp(w) == mateEpoch) {
           val e1 = mate(w)
           support(e1) += delta; support(e2) += delta; count += 1
-          if (delta < 0 && support(e1) == k - 3) { pending(pend) = e1; pend += 1 }
-          if (delta < 0 && support(e2) == k - 3) { pending(pend) = e2; pend += 1 }
+          if (delta < 0 && support(e1) == k - 3 && !pinned(e1)) { pending(pend) = e1; pend += 1 }
+          if (delta < 0 && support(e2) == k - 3 && !pinned(e2)) { pending(pend) = e2; pend += 1 }
         }
         j += 1
       }

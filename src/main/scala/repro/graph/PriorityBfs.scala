@@ -1,5 +1,6 @@
 package repro.graph
 
+import org.apache.spark.HashPartitioner
 import org.apache.spark.rdd.RDD
 import scala.collection.mutable
 import repro.core.AttrDistance
@@ -54,16 +55,26 @@ object PriorityBfs {
 
   object NodeStore {
 
-    /** One partition per `pairsPerPartition` adjacency pairs, at least one,
-      * as the [[PeelIndex]] is sized ([[AttributedGraph.nodeRecords]]).
-      * Spark jobs, once `g.numStats` is known: one that counts the pairs and
-      * one that builds the maps.
+    /** Adjacency pairs per partition of a store built by default. */
+    private val PairsPerPartition = 100000L
+
+    /** Every node of `g` as a [[Node]], over [[AttributedGraph.adjacency]] of
+      * all of G's edges, hash-partitioned by id with one partition per
+      * `pairsPerPartition` pairs, at least one. Spark jobs, once `g.numStats`
+      * is known: one that counts the pairs and one that builds the maps.
       */
-    private[graph] def build(g: AttributedGraph,
-                             pairsPerPartition: Long = AttributedGraph.PairsPerPartition): NodeStore = {
+    private[graph] def build(g: AttributedGraph, pairsPerPartition: Long = PairsPerPartition): NodeStore = {
       val t0 = System.nanoTime()
-      val nodes = AttributedGraph.nodeRecords(g, g.edges, pairsPerPartition)
-        .mapPartitions(it => Iterator(mutable.LongMap.from(it)), preservesPartitioning = true)
+      val (mins, rngs) = g.numStats
+      val pairs = AttributedGraph.adjacency(g.edges)
+      val part = new HashPartitioner(math.max(1, math.ceil(pairs.count().toDouble / pairsPerPartition).toInt))
+      val nodes = g.nodes.rdd.map(r => (r.getAs[Long]("id"), r)).cogroup(pairs, part)
+        .mapPartitions(it => Iterator(mutable.LongMap.from(it.flatMap { case (v, (rs, ds)) =>
+          rs.map { r =>
+            val (text, num) = AttributedGraph.attributes(r, mins, rngs)
+            v -> Node(text, num, ds.toArray)
+          }
+        })), preservesPartitioning = true)
       nodes.localCheckpoint()
       nodes.count()
       new NodeStore(nodes, (System.nanoTime() - t0) / 1e6)

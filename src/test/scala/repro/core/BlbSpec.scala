@@ -31,14 +31,14 @@ class BlbSpec extends AnyFunSuite {
 
   test("estimate: deltaStar is the exact sample mean") {
     val xs = Array(0.1, 0.2, 0.3, 0.4)
-    val est = Blb.estimate(xs, alpha = 0.05, m = 0.6, r = 50, seed = 1)
+    val est = Blb.estimate(xs, m = 0.6, r = 50, seed = 1)
     assert(math.abs(est.deltaStar - 0.25) < 1e-12)
   }
 
   test("estimate: MoE scales roughly like 1/sqrt(N)") {
     val sd = 0.1
-    val small = Blb.estimate(gaussianSample(100, 0.5, sd, 1), 0.05, 0.6, 100, seed = 2)
-    val large = Blb.estimate(gaussianSample(6400, 0.5, sd, 3), 0.05, 0.6, 100, seed = 4)
+    val small = Blb.estimate(gaussianSample(100, 0.5, sd, 1), 0.6, 100, seed = 2)
+    val large = Blb.estimate(gaussianSample(6400, 0.5, sd, 3), 0.6, 100, seed = 4)
     // 64x more data → ~8x smaller MoE; allow generous slack.
     assert(large.moe < small.moe / 3.0, s"small=${small.moe} large=${large.moe}")
   }
@@ -46,37 +46,30 @@ class BlbSpec extends AnyFunSuite {
   test("estimate: MoE close to the CLT value z*sd/sqrt(N)") {
     val n = 2000
     val sd = 0.2
-    val est = Blb.estimate(gaussianSample(n, 0.5, sd, 7), 0.05, 0.6, 120, seed = 8)
+    val est = Blb.estimate(gaussianSample(n, 0.5, sd, 7), 0.6, 120, seed = 8)
     val clt = 1.96 * sd / math.sqrt(n.toDouble)
     assert(est.moe > clt * 0.5 && est.moe < clt * 2.0, s"moe=${est.moe} clt=$clt")
   }
 
   test("estimate: zero-variance data gives (near) zero MoE") {
-    val est = Blb.estimate(Array.fill(50)(0.3), 0.05, 0.6, 50, seed = 5)
+    val est = Blb.estimate(Array.fill(50)(0.3), 0.6, 50, seed = 5)
     assert(est.moe < 1e-12)
     assert(math.abs(est.deltaStar - 0.3) < 1e-12)
   }
 
   test("estimate: tiny samples fall back to the CLT formula") {
     val xs = Array(0.1, 0.5)
-    val est = Blb.estimate(xs, 0.05, 0.6, 50, seed = 6)
-    val expected = Stats.zCritical(0.05) * Stats.stddev(xs) / math.sqrt(2.0)
+    val est = Blb.estimate(xs, 0.6, 50, seed = 6)
+    val expected = Blb.Z * Stats.stddev(xs) / math.sqrt(2.0)
     assert(math.abs(est.moe - expected) < 1e-12)
     assert(est.sBlb === 2)
   }
 
   test("estimate: deterministic in the seed") {
     val xs = gaussianSample(300, 0.4, 0.1, 11)
-    val a = Blb.estimate(xs, 0.05, 0.6, 60, seed = 42)
-    val b = Blb.estimate(xs, 0.05, 0.6, 60, seed = 42)
+    val a = Blb.estimate(xs, 0.6, 60, seed = 42)
+    val b = Blb.estimate(xs, 0.6, 60, seed = 42)
     assert(a === b)
-  }
-
-  test("estimate: higher confidence widens the interval") {
-    val xs = gaussianSample(500, 0.4, 0.1, 12)
-    val a90 = Blb.estimate(xs, alpha = 0.10, 0.6, 80, seed = 1)
-    val a99 = Blb.estimate(xs, alpha = 0.01, 0.6, 80, seed = 1)
-    assert(a99.moe > a90.moe)
   }
 
   test("estimate: CI covers the true mean most of the time (statistical)") {
@@ -84,7 +77,7 @@ class BlbSpec extends AnyFunSuite {
     var covered = 0
     (0 until 40).foreach { i =>
       val xs = gaussianSample(400, mu, 0.1, 100 + i)
-      val est = Blb.estimate(xs, 0.05, 0.6, 60, seed = i)
+      val est = Blb.estimate(xs, 0.6, 60, seed = i)
       if (math.abs(est.deltaStar - mu) <= est.moe * 1.5) covered += 1
     }
     // 95% nominal; BLB on 400 points is noisy — require a clear majority.

@@ -4,44 +4,45 @@ import org.scalatest.funsuite.AnyFunSuite
 
 class StatsSpec extends AnyFunSuite {
 
-  // ---- inverse normal CDF --------------------------------------------------
+  // ---- inverse normal CDF, the oracle for Blb's z -------------------------
 
   test("zQuantile: median is 0") {
-    assert(math.abs(Stats.zQuantile(0.5)) < 1e-9)
+    assert(math.abs(NormalQuantile.zQuantile(0.5)) < 1e-9)
   }
 
   test("zQuantile: 97.5% quantile is 1.95996") {
-    assert(math.abs(Stats.zQuantile(0.975) - 1.959964) < 1e-4)
+    assert(math.abs(NormalQuantile.zQuantile(0.975) - 1.959964) < 1e-4)
   }
 
   test("zQuantile: 99.5% quantile is 2.5758") {
-    assert(math.abs(Stats.zQuantile(0.995) - 2.575829) < 1e-4)
+    assert(math.abs(NormalQuantile.zQuantile(0.995) - 2.575829) < 1e-4)
   }
 
   test("zQuantile: symmetric around 0.5") {
     Seq(0.6, 0.9, 0.99, 0.999).foreach { p =>
-      assert(math.abs(Stats.zQuantile(p) + Stats.zQuantile(1 - p)) < 1e-7)
+      assert(math.abs(NormalQuantile.zQuantile(p) + NormalQuantile.zQuantile(1 - p)) < 1e-7)
     }
   }
 
   test("zQuantile: tail branches (p < 0.02425 and p > 0.97575)") {
-    assert(math.abs(Stats.zQuantile(0.001) + 3.090232) < 1e-4)
-    assert(math.abs(Stats.zQuantile(0.999) - 3.090232) < 1e-4)
+    assert(math.abs(NormalQuantile.zQuantile(0.001) + 3.090232) < 1e-4)
+    assert(math.abs(NormalQuantile.zQuantile(0.999) - 3.090232) < 1e-4)
   }
 
   test("zQuantile: monotone increasing") {
     val ps = (1 to 99).map(_ / 100.0)
-    val zs = ps.map(Stats.zQuantile)
+    val zs = ps.map(NormalQuantile.zQuantile)
     zs.sliding(2).foreach { case Seq(a, b) => assert(a < b) }
   }
 
   test("zQuantile: rejects p outside (0,1)") {
-    assertThrows[IllegalArgumentException](Stats.zQuantile(0.0))
-    assertThrows[IllegalArgumentException](Stats.zQuantile(1.0))
+    assertThrows[IllegalArgumentException](NormalQuantile.zQuantile(0.0))
+    assertThrows[IllegalArgumentException](NormalQuantile.zQuantile(1.0))
   }
 
   test("zCritical: 1-alpha=95% gives 1.96") {
-    assert(math.abs(Stats.zCritical(0.05) - 1.959964) < 1e-4)
+    assert(math.abs(NormalQuantile.zCritical(0.05) - 1.959964) < 1e-4)
+    assert(Blb.Z === NormalQuantile.zCritical(0.05))
   }
 
   // ---- mean / stddev -------------------------------------------------------

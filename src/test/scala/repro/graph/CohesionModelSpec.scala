@@ -132,10 +132,24 @@ class CohesionModelSpec extends SparkSpec {
   // ---- maximalConnected over the per-graph peel index ---------------------
 
   /** The index's components as (label, node ids, edge pairs). */
-  private def indexed(g: AttributedGraph, model: CohesionModel): Set[(Long, Set[Long], Set[(Long, Long)])] =
-    g.peelIndex(model).components.collect().map { case (l, c) =>
+  private def indexed(index: PeelIndex): Set[(Long, Set[Long], Set[(Long, Long)])] =
+    index.components.collect().map { case (l, c) =>
       (l, c.ids.toSet, c.ids.indices.flatMap(i => c.nodes(i).dst.map((c.ids(i), _))).toSet)
     }.toSet
+
+  /** G's own node store, and one forced to a partition per 10 adjacency pairs. */
+  private def stores(g: AttributedGraph): Seq[PriorityBfs.NodeStore] =
+    Seq(g.nodeStore, PriorityBfs.NodeStore.build(g, pairsPerPartition = 10))
+
+  /** The components of the graph over `peeled`, as [[indexed]] lists them. */
+  private def componentsOver(n: Int, peeled: Seq[(Long, Long)]): Set[(Long, Set[Long], Set[(Long, Long)])] = {
+    val plg = TestGraphs.local(n, peeled.map { case (a, b) => (a.toInt, b.toInt) })
+    (0 until plg.n).filter(plg.adj(_).nonEmpty)
+      .map(v => FromScratch.componentOf(plg, v, plg.allAlive).map(_.toLong).toSet).toSet
+      .map { (c: Set[Long]) =>
+        (c.min, c, peeled.filter(e => c(e._1)).flatMap(e => Seq(e, e.swap)).toSet)
+      }
+  }
 
   test("peelIndex: components equal the peeled graph's, labelled by their least id") {
     Seq(CoreModel(3), TrussModel(4)).foreach { model =>
@@ -153,36 +167,93 @@ class CohesionModelSpec extends SparkSpec {
             (0 until lg.n).flatMap(u => lg.adj(u).filter(v => u < v && core(u) >= k && core(v) >= k).map((u, _)))
           case TrussModel(k) => TestGraphs.bruteTrussEdges(lg, k).toSeq
         }
-        val plg = TestGraphs.local(lg.n, peeled)
-        val expected = (0 until plg.n).filter(plg.adj(_).nonEmpty)
-          .map(v => FromScratch.componentOf(plg, v, plg.allAlive).map(_.toLong).toSet).toSet
-          .map { (c: Set[Long]) =>
-            (c.min, c, peeled.map { case (a, b) => (a.toLong, b.toLong) }
-              .filter(e => c(e._1)).flatMap(e => Seq(e, e.swap)).toSet)
-          }
+        val expected = componentsOver(lg.n, peeled.map { case (a, b) => (a.toLong, b.toLong) })
         assert(expected.size > 1, s"$model seed=$s")
-        assert(indexed(TestGraphs.toAttributed(spark, lg), model) === expected, s"$model seed=$s")
+        val g = TestGraphs.toAttributed(spark, lg)
+        stores(g).foreach { store =>
+          val at = s"$model seed=$s partitions=${store.nodes.getNumPartitions}"
+          assert(indexed(PeelIndex.build(store, model)) === expected, at)
+        }
       }
     }
   }
 
-  test("peelIndex: a 40-node path is labelled in 9 rounds") {
-    // Position i of the path holds node 13i mod 40, so ids do not follow the
-    // path; min-label propagation would take 40 rounds here.
-    val lg = TestGraphs.local(40, (0 until 39).map(i => (13 * i % 40, 13 * (i + 1) % 40)))
-    val g = TestGraphs.toAttributed(spark, lg)
-    assert(g.peelIndex(CoreModel(1)).rounds === 9)
-    assert(indexed(g, CoreModel(1)).map(c => (c._1, c._2)) === Set((0L, (0L until 40L).toSet)))
+  test("peelIndex on a store of several partitions equals the DataFrame oracle") {
+    Seq(CoreModel(3), TrussModel(4)).foreach { model =>
+      (1 to 3).foreach { s =>
+        val lg = TestGraphs.randomLocal(30, 0.3, seed = 900 + s)
+        val g = TestGraphs.toAttributed(spark, lg)
+        val store = PriorityBfs.NodeStore.build(g, pairsPerPartition = 10)
+        assert(store.nodes.getNumPartitions > 3, s"$model seed=$s")
+        val expected = componentsOver(lg.n,
+          FromScratch.peelEdges(model, g.edges).collect().map(AttributedGraph.edgePair).toSeq)
+        assert(expected.nonEmpty, s"$model seed=$s")
+        assert(indexed(PeelIndex.build(store, model)) === expected, s"$model seed=$s")
+      }
+    }
   }
 
-  test("peelIndex: the build runs the peel's jobs, one count, one per round and one build") {
+  test("peelIndex: a graph with no edges has no components") {
+    val g = TestGraphs.toAttributed(spark, TestGraphs.local(5, Nil))
+    Seq(CoreModel(1), TrussModel(2)).foreach { model =>
+      stores(g).foreach(store => assert(PeelIndex.build(store, model).components.count() === 0, model))
+      assert(model.maximalConnected(g, 0L).n === 0, model)
+    }
+  }
+
+  test("peelIndex: k above k_max leaves no component, and maximalConnected is empty") {
+    val g = TestGraphs.toAttributed(spark, k4plusTail) // k_max = 3; a 4-truss at most
+    Seq(CoreModel(4), TrussModel(5)).foreach { model =>
+      stores(g).foreach { store =>
+        val index = PeelIndex.build(store, model)
+        assert(index.components.count() === 0, model)
+        assert(index.componentOf(0L).isEmpty, model)
+      }
+      assert(model.maximalConnected(g, 0L).n === 0, model)
+    }
+  }
+
+  test("peelIndex: a truss whose triangles span three partitions") {
+    // K5 on 0..4 and a strip of triangles 4-5-6, 5-6-7 hanging off node 4:
+    // the strip's edges lie in at most two triangles, and their peel cascades
+    // across the partitions {0,3,6}, {1,4,7} and {2,5}.
+    val lg = TestGraphs.local(8, (for (a <- 0 until 5; b <- a + 1 until 5) yield (a, b)) ++
+      Seq((4, 5), (4, 6), (5, 6), (5, 7), (6, 7)))
+    val g = TestGraphs.toAttributed(spark, lg)
+    val k5 = (for (a <- 0L until 5L; b <- 0L until 5L if a != b) yield (a, b)).toSet
+    val Seq(one, several) = stores(g)
+    assert(several.nodes.getNumPartitions === 3)
+    assert(Set(0L, 1L, 2L).map(several.nodes.partitioner.get.getPartition) === Set(0, 1, 2))
+    Seq(one, several).foreach { store =>
+      assert(indexed(PeelIndex.build(store, TrussModel(4))) === Set((0L, (0L until 5L).toSet, k5)))
+    }
+    assert(TrussModel(4).maximalConnected(g, 6L).n === 0)
+    assert(TrussModel(4).maximalConnected(g, 2L).ids.toSet === (0L until 5L).toSet)
+  }
+
+  test("peelIndex: a 40-node path whose ids do not follow it is one component") {
+    // Position i of the path holds node 13i mod 40, so every edge crosses
+    // partitions on the forced store, and the least label walks 39 hops.
+    val path = (0 until 39).map(i => (13 * i % 40, 13 * (i + 1) % 40))
+    val g = TestGraphs.toAttributed(spark, TestGraphs.local(40, path))
+    val pairs = path.flatMap { case (a, b) => Seq((a.toLong, b.toLong), (b.toLong, a.toLong)) }.toSet
+    stores(g).foreach { store =>
+      assert(indexed(PeelIndex.build(store, CoreModel(1))) === Set((0L, (0L until 40L).toSet, pairs)))
+    }
+  }
+
+  test("peelIndex: one build job on one partition, exchanges + 1 on several") {
     Seq(CoreModel(3), TrussModel(4)).foreach { model =>
       val g = TestGraphs.toAttributed(spark, TestGraphs.randomLocal(30, 0.3, seed = 801))
-      g.numStats
-      val peel = jobsIn(s"peel-$model")(model.peelEdges(g.edges))._2
-      val (index, jobs) = jobsIn(s"index-$model")(PeelIndex.build(g, model))
-      assert(index.rounds > 1, model)
-      assert(jobs === peel + 1 + index.rounds + 1, model)
+      val Seq(one, several) = stores(g)
+      assert(one.nodes.getNumPartitions === 1, model)
+      val (onOne, jobsOnOne) = jobsIn(s"index-one-$model")(PeelIndex.build(one, model))
+      assert(onOne.exchanges === 0, model)
+      assert(jobsOnOne === 1, model)
+      assert(several.nodes.getNumPartitions > 1, model)
+      val (onSeveral, jobsOnSeveral) = jobsIn(s"index-several-$model")(PeelIndex.build(several, model))
+      assert(onSeveral.exchanges >= 2, model) // at least one round of peeled edges and one of labels
+      assert(jobsOnSeveral === onSeveral.exchanges + 1, model)
     }
   }
 
@@ -194,7 +265,7 @@ class CohesionModelSpec extends SparkSpec {
       model.maximalConnected(g, lg.ids(0))
       // Sized from its data, not from the 64 shuffle partitions of the suite.
       assert(g.peelIndex(model).components.getNumPartitions === 1, model)
-      val fresh = AttributedGraph.adjacency(model.peelEdges(g.edges))
+      val fresh = AttributedGraph.adjacency(FromScratch.peelEdges(model, g.edges))
       lg.ids.foreach { q =>
         val got = model.maximalConnected(g, q)
         assert(sameGraph(got, FromScratch.componentOf(g, fresh, q)), s"$model q=$q")
@@ -213,7 +284,7 @@ class CohesionModelSpec extends SparkSpec {
     assert(g.peelIndex(new CoreModel(3)) eq entries.head)
     val k4 = for (a <- 0L until 4L; b <- 0L until 4L if a != b) yield (a, b)
     val k4Component = Set((0L, (0L until 4L).toSet, k4.toSet))
-    assert(models.map(indexed(g, _)) === Seq(k4Component, Set.empty, k4Component))
+    assert(models.map(m => indexed(g.peelIndex(m))) === Seq(k4Component, Set.empty, k4Component))
   }
 
   test("maximalConnected: a warm call runs exactly one Spark job") {
@@ -233,8 +304,9 @@ class CohesionModelSpec extends SparkSpec {
     val g = TestGraphs.toAttributed(spark, k4plusTail)
     Seq(CoreModel(3), TrussModel(3)).foreach { model =>
       assert(model.maximalConnected(g, 0L).ids.toSet === Set(0L, 1L, 2L, 3L), model)
-      val e = intercept[IllegalArgumentException](model.maximalConnected(g, 99L))
+      val (e, jobs) = jobsIn(s"absent-$model")(intercept[IllegalArgumentException](model.maximalConnected(g, 99L)))
       assert(e.getMessage.contains("99"), model)
+      assert(jobs === 1, model)
       assert(model.maximalConnected(g, 5L).n === 0, model)
     }
   }

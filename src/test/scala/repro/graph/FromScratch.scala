@@ -1,14 +1,15 @@
 package repro.graph
 
 import org.apache.spark.rdd.RDD
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions.col
 import scala.collection.mutable
 import repro.core.AttrDistance
 
 /** From-scratch maximal connected structures: each call clones `alive`,
   * recomputes every degree or support and re-runs the component search.
-  * Test oracles for the incremental [[Peel]]s, for the [[PeelIndex]] fetch
-  * and for the [[PriorityBfs.NodeStore]] fetches.
+  * Test oracles for the incremental [[Peel]]s, for the [[PeelIndex]] build
+  * and fetch, and for the [[PriorityBfs.NodeStore]] fetches.
   */
 object FromScratch {
 
@@ -141,6 +142,14 @@ object FromScratch {
       nbr(u).foreach(v => if (!seen(v)) { seen += v; queue += v })
     }
     if (seen.size < k) mutable.BitSet.empty else seen
+  }
+
+  /** The edges (`src`, `dst`) that survive `model`'s DataFrame peel of
+    * `edges`: the oracle for the peel inside [[PeelIndex.build]].
+    */
+  def peelEdges(model: CohesionModel, edges: DataFrame): DataFrame = model match {
+    case CoreModel(k)  => CoreDecomposition.kCoreEdges(edges, k)
+    case TrussModel(k) => TrussDecomposition.kTrussEdges(edges, k)
   }
 
   /** The oracle for `model`'s structure. */
