@@ -21,9 +21,7 @@ object Blb {
     */
   final case class Estimate(deltaStar: Double, moe: Double, sBlb: Int)
 
-  /** `z_{α/2}` of the `1−α` = 95% confidence the paper fixes (§VII-A): the
-    * 97.5% standard-normal quantile, as Acklam's approximation computes it.
-    */
+  /** `z_{α/2}` for the paper's 95% confidence: the 97.5% normal quantile. */
   val Z = 1.959963986120195
 
   /** Subsample size `b = ⌈N^m⌉` and count `s = max(1, ⌊N/b⌋)` so that

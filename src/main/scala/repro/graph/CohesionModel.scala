@@ -46,11 +46,9 @@ trait CohesionModel {
   final def maximal(g: LocalGraph, alive: mutable.BitSet, q: Int): mutable.BitSet =
     peel(g, alive, q).alive
 
-  /** This model's structure of the whole of `g`, with no query node, so no
-    * component is dropped. The nodes from index `pinnedFrom` on are pinned:
-    * each stands for a node that another partition peels ([[PeelIndex]]).
-    * The cascade never removes a pinned node, nor (the truss) an edge
-    * between two pinned nodes; they count toward the rest only.
+  /** This model's structure of all of `g`, with no query node. The cascade
+    * never removes a node from index `pinnedFrom` on, nor (the truss) an edge
+    * between two such nodes: another partition peels them ([[PeelIndex]]).
     */
   private[graph] def peelAll(g: LocalGraph, pinnedFrom: Int): Peel
 

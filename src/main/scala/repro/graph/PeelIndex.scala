@@ -127,9 +127,6 @@ object PeelIndex {
     new PeelIndex(blocks, store, exchanges, (System.nanoTime() - t0) / 1e6)
   }
 
-  /** Edge `(a, b)` with `a < b`. */
-  private def edge(a: Long, b: Long): (Long, Long) = (math.min(a, b), math.max(a, b))
-
   /** One partition's view in one round: its own nodes, then their neighbours
     * in other partitions (pinned), over G's edges among these nodes (the
     * halo's included) less the `dead` ones, peeled by `model`.
@@ -169,14 +166,13 @@ object PeelIndex {
       * state and the messages.
       */
     def repeel(now: Known): (Known, Array[(Int, (Long, Long))]) = {
-      val lost = (for (u <- 0 until own; j <- lg.adj(u).indices if !peel.keeps(u, j))
-        yield (u, lg.adj(u)(j))).distinctBy { case (u, w) => edge(id(u), id(w)) }
-      val here = TaskContext.getPartitionId()
-      val out = lost.flatMap { case (u, w) =>
+      val lost = (for (u <- 0 until own; j <- lg.adj(u).indices if !peel.keeps(u, j); w = lg.adj(u)(j))
+        yield (u, w, (id(u) min id(w), id(u) max id(w)))).distinctBy(_._3)
+      val out = lost.flatMap { case (u, w, e) =>
         (Seq(u, w) ++ lg.adj(u).intersect(lg.adj(w))).map(x => part.getPartition(id(x))).distinct
-          .filter(_ != here).map((_, edge(id(u), id(w))))
+          .filter(_ != TaskContext.getPartitionId()).map((_, e))
       }
-      (now.copy(dead = now.dead ++ lost.map { case (u, w) => edge(id(u), id(w)) }), out.toArray)
+      (now.copy(dead = now.dead ++ lost.map(_._3)), out.toArray)
     }
 
     /** Each set's label: the least id in it, or a lesser label one of its own
@@ -210,8 +206,7 @@ object PeelIndex {
     def records(had: Map[Long, Long]): Iterator[(Long, (Long, Node))] = {
       val least = labels(had)
       Iterator.range(0, own).filter(root(_) >= 0).map { u =>
-        val a = lg.adj(u)
-        val dst = a.indices.filter(peel.keeps(u, _)).map(j => id(a(j))).toArray
+        val dst = lg.adj(u).indices.filter(peel.keeps(u, _)).map(j => id(lg.adj(u)(j))).toArray
         (least(root(u)), (id(u), local(id(u)).copy(dst = dst)))
       }
     }

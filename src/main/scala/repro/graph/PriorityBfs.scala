@@ -55,15 +55,12 @@ object PriorityBfs {
 
   object NodeStore {
 
-    /** Adjacency pairs per partition of a store built by default. */
-    private val PairsPerPartition = 100000L
-
     /** Every node of `g` as a [[Node]], over [[AttributedGraph.adjacency]] of
       * all of G's edges, hash-partitioned by id with one partition per
       * `pairsPerPartition` pairs, at least one. Spark jobs, once `g.numStats`
       * is known: one that counts the pairs and one that builds the maps.
       */
-    private[graph] def build(g: AttributedGraph, pairsPerPartition: Long = PairsPerPartition): NodeStore = {
+    private[graph] def build(g: AttributedGraph, pairsPerPartition: Long = 100000L): NodeStore = {
       val t0 = System.nanoTime()
       val (mins, rngs) = g.numStats
       val pairs = AttributedGraph.adjacency(g.edges)
