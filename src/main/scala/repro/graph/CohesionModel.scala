@@ -261,7 +261,7 @@ final case class TrussModel(k: Int) extends CohesionModel {
       b.result()
     }
     private val m = ends.length / 2
-    private val pinned = Array.tabulate(m)(e => ends(2 * e) >= pinnedFrom && ends(2 * e + 1) >= pinnedFrom)
+    private def pinned(e: Int): Boolean = ends(2 * e) >= pinnedFrom && ends(2 * e + 1) >= pinnedFrom
     // A removed edge's support stays frozen until undo brings it back.
     private val live = new Array[Boolean](m)
     private val support = new Array[Int](m)
