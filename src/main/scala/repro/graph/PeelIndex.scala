@@ -60,7 +60,10 @@ object PeelIndex {
     * neighbours once (the halo, so that every triangle on one of its edges
     * is in view). The partitions then exchange by shuffle the edges they
     * peeled, until none peels another, and then the least labels of the
-    * components that cross a cut, until none changes.
+    * components that cross a cut, until none changes. A view holds every
+    * edge G's peel keeps (and perhaps some another partition has peeled but
+    * not yet told), so what a view peels G's peel peels too; once no view
+    * peels another edge, each agrees with G's peel.
     *
     * Spark jobs: one per exchange round and one that builds the components,
     * so one in all on a store of one partition.
