@@ -40,9 +40,17 @@ object Vac {
     (bi, bj, math.max(bd, 0.0))
   }
 
+  /** Every pair's attribute distance, computed once: both searches read
+    * each pair many times.
+    */
+  private def distances(lg: LocalGraph, gamma: Double): (Int, Int) => Double = {
+    val d = Array.tabulate(lg.n, lg.n)((i, j) => lg.pairDistance(i, j, gamma))
+    (i, j) => d(i)(j)
+  }
+
   /** `f(i)` is local node `i`'s distance to q. */
   def run(lg: LocalGraph, qIdx: Int, f: Array[Double], model: CohesionModel, gamma: Double): Result = {
-    val dist: (Int, Int) => Double = lg.pairDistance(_, _, gamma)
+    val dist = distances(lg, gamma)
     val peel = model.peel(lg, lg.allAlive, qIdx)
     val cur = peel.alive
     if (cur.isEmpty) return Result(Set.empty, Double.NaN)
@@ -76,10 +84,8 @@ object Vac {
       gamma: Double,
       stateCap: Long,
   ): Result = {
-    // The min-max objective is evaluated on every explored state — memoize
-    // the pairwise distances once instead of recomputing set intersections.
-    val dist = Array.tabulate(lg.n, lg.n)((i, j) => lg.pairDistance(i, j, gamma))
-    val objective: mutable.BitSet => Double = alive => maxPairwise(alive, (i, j) => dist(i)(j))._3
+    val dist = distances(lg, gamma)
+    val objective: mutable.BitSet => Double = maxPairwise(_, dist)._3
     val r = ExactCSAG.run(lg, qIdx, f, model,
       ExactCSAG.Pruning.OnlyP1, stateCap, Some(objective))
     Result(r.community, r.delta, r.capped)

@@ -8,7 +8,10 @@ import repro.graph.{AttributedGraph, CohesionModel, CoreModel, LocalGraph}
   *
   *  - P1 "duplicate states": priority enumeration in descending `f(·,q)` plus
   *    the Theorem 4 check `f(v_m,q) > f(u,q)` (with `u` the node whose
-  *    deletion produced the current state).
+  *    deletion produced the current state and `v_m` the max-f node a step
+  *    deletes). The check runs inside the maintenance: the step's deletion
+  *    stops at the first node it removes with f above `f(u,q)`
+  *    ([[repro.graph.Peel.deleteUpTo]]).
   *  - P2 "unnecessary states": only delete nodes with `f(·,q) > δ(state)`
   *    (Theorem 5).
   *  - P3 "unpromising states": prune a state when the lower bound
@@ -46,17 +49,18 @@ object ExactCSAG {
       capped: Boolean,
   )
 
-  /** One search-tree node: its candidate deletions, the next to try, f of
-    * the deletion that produced it, and the trail mark of its state.
+  /** One search-tree node: its candidate deletions `cands(from until until)`,
+    * the next to try, P1's bound on f of a step from it (f of the deletion
+    * that produced it, ∞ without P1), and the trail mark of its state.
     */
-  private final class Frame(val candidates: Array[Int], val fPrev: Double, val mark: Int) {
-    var next = 0
+  private final class Frame(val from: Int, val until: Int, val bound: Double, val mark: Int) {
+    var next: Int = from
   }
 
   /** Run the enumeration on a collected local graph. `f(i)` is the composite
     * distance of local node `i` to the query. `objective` defaults to the
     * paper's δ(·) ([[AttrDistance.delta]]); E-VAC reuses the machinery with the min-max objective
-    * (P2/P3 are δ-specific and must be off for a non-δ objective).
+    * (P2/P3 are δ-specific, so a non-δ objective requires them off).
     *
     * The search runs on one [[repro.graph.Peel]]: each candidate deletion is
     * applied, its subtree searched, and the deletion undone. The tree is
@@ -73,7 +77,9 @@ object ExactCSAG {
       objective: Option[mutable.BitSet => Double] = scala.None,
       accept: Option[mutable.BitSet => Boolean] = scala.None,
   ): Result = {
+    require(objective.isEmpty || !(pruning.p2 || pruning.p3), "P2 and P3 need the δ objective")
     val k = model.minCommunitySize - 1
+    // Under P2 the objective is δ, so the score of a state is its δ.
     val score: mutable.BitSet => Double =
       objective.getOrElse(AttrDistance.delta(f, _, qIdx))
 
@@ -82,8 +88,9 @@ object ExactCSAG {
     if (cur.isEmpty) return Result(Set.empty, Double.NaN, 0L, capped = false)
 
     val ok: mutable.BitSet => Boolean = accept.getOrElse(_ => true)
+    val rootScore = score(cur)
     var best = if (ok(cur)) cur.clone() else mutable.BitSet.empty
-    var bestScore = if (ok(cur)) score(cur) else Double.PositiveInfinity
+    var bestScore = if (ok(cur)) rootScore else Double.PositiveInfinity
     var states = 0L
     var capped = false
 
@@ -104,36 +111,45 @@ object ExactCSAG {
       if (c < k) Double.PositiveInfinity else s / k
     }
 
+    // The open frames' candidates, back to back.
+    var cands = new Array[Int](4 * lg.n)
+    var top = 0
+    val order = if (pruning.p1) descendingF else others
     val stack = mutable.ArrayBuffer.empty[Frame]
-    def open(fPrev: Double): Unit =
+    // Opens the current state, produced by a deletion with f = fPrev; `d` is
+    // its score, read as its δ by P2.
+    def open(fPrev: Double, d: Double): Unit =
       if (!(pruning.p3 && lowerBound() >= bestScore)) {
-        val d = AttrDistance.delta(f, cur, qIdx)
-        val candidates = (if (pruning.p1) descendingF else others)
-          .filter(i => cur(i) && (!pruning.p2 || f(i) > d))
-        stack += new Frame(candidates, fPrev, peel.mark)
+        if (top + order.length > cands.length)
+          cands = java.util.Arrays.copyOf(cands, 2 * cands.length + order.length)
+        val from = top
+        var i = 0
+        while (i < order.length) {
+          val u = order(i)
+          if (cur(u) && (!pruning.p2 || f(u) > d)) { cands(top) = u; top += 1 }
+          i += 1
+        }
+        stack += new Frame(from, top, if (pruning.p1) fPrev else Double.PositiveInfinity, peel.mark)
       }
 
-    open(Double.PositiveInfinity)
+    open(Double.PositiveInfinity, rootScore)
     while (stack.nonEmpty && !capped) {
       val fr = stack.last
-      if (fr.next == fr.candidates.length) stack.dropRightInPlace(1)
+      if (fr.next == fr.until) { stack.dropRightInPlace(1); top = fr.from }
       else if (states >= stateCap) capped = true
       else {
-        val v = fr.candidates(fr.next)
+        val v = cands(fr.next)
         fr.next += 1
         states += 1
         // P1: v_m ≥ f(v), so f(v) > f(v_prev) is a duplicate before any
-        // maintenance runs.
-        if (!(pruning.p1 && f(v) > fr.fPrev)) {
+        // maintenance runs; otherwise the deletion stops at the first node
+        // it removes with f > f(v_prev), since then f(v_m) > f(v_prev) too.
+        if (!(f(v) > fr.bound)) {
           peel.undo(fr.mark)
-          peel.delete(v)
-          // v_m: the max-f node among everything this step deleted (incl. v).
-          var fm = f(v)
-          peel.foreachRemovedSince(fr.mark)(i => if (f(i) > fm) fm = f(i))
-          if (!(pruning.p1 && fm > fr.fPrev) && cur.nonEmpty) {
+          if (peel.deleteUpTo(v, f, fr.bound) && cur.nonEmpty) {
             val cs = score(cur)
             if (cs < bestScore - 1e-12 && ok(cur)) { bestScore = cs; best = cur.clone() }
-            open(f(v))
+            open(f(v), cs)
           }
         }
       }

@@ -62,16 +62,21 @@ trait CohesionModel {
   * whatever leaves q's component; once q goes, the structure is empty, so it
   * is always either empty or a valid community. Every removal is pushed on a
   * trail, and `undo(mark)` pops back to the state at `mark`: a search tree
-  * applies a branch, descends and pops back, with no copy per state. With no
-  * query node (`q = -1`, [[CohesionModel.peelAll]]) nothing is dropped for
-  * leaving a component.
+  * applies a branch, descends and pops back, with no copy per state.
+  * `deleteUpTo(v, f, limit)` is the same deletion, stopped at the first node
+  * it removes with `f` above `limit`: the exact search's P1 (Theorem 4)
+  * rejects such a state as a duplicate, so it need not finish the cascade or
+  * the component pass. With no query node (`q = -1`,
+  * [[CohesionModel.peelAll]]) nothing is dropped for leaving a component.
   */
 abstract class Peel(val g: LocalGraph, val q: Int, trailCapacity: Int) {
 
   /** The current structure. Updated in place: read it, clone it to keep it. */
   val alive: mutable.BitSet = mutable.BitSet.empty
-  // `alive` as an array, for the membership tests on the hot paths.
+  // `alive` as an array, for the membership tests on the hot paths, and its
+  // size.
   protected val in = new Array[Boolean](g.n)
+  private var size = 0
 
   // A removed node v is pushed as ~v (negative); a model pushes its own
   // removals (the truss model's edges) as non-negative entries.
@@ -80,17 +85,33 @@ abstract class Peel(val g: LocalGraph, val q: Int, trailCapacity: Int) {
   private val seen = new Array[Int](g.n) // BFS stamps
   private var epoch = 0
   private val queue = new Array[Int](g.n)
+  // deleteUpTo's bound: removing a node u with stopAt(u) > limit stops it.
+  private var stopAt: Array[Double] = null
+  private var limit = 0.0
+  /** Whether the current deletion has stopped; the cascade then ends and
+    * empties its queue.
+    */
+  protected var stopped = false
 
   def mark: Int = top
 
   /** Removes `v` (which must be in the structure) and everything that then
     * falls out of q's maximal connected structure.
     */
-  def delete(v: Int): Unit = {
+  def delete(v: Int): Unit = { deleteUpTo(v, null, 0.0); () }
+
+  /** [[delete]], stopped at the first node it removes whose `f` is above
+    * `limit` (none when `f` is null). Returns false when it stopped: what it
+    * removed until then stays on the trail, and the structure is not a valid
+    * state until `undo` pops it.
+    */
+  def deleteUpTo(v: Int, f: Array[Double], limit: Double): Boolean = {
     require(alive(v), s"node $v is not in the structure")
+    stopAt = f; this.limit = limit; stopped = false
     removeNode(v)
     cascade()
-    settle()
+    if (!stopped) settle()
+    !stopped
   }
 
   /** Whether the edge from `u` to `g.adj(u)(j)` is in the structure. */
@@ -99,19 +120,18 @@ abstract class Peel(val g: LocalGraph, val q: Int, trailCapacity: Int) {
   /** Pops back to the state at `mark`, undoing removals in reverse order. */
   def undo(mark: Int): Unit = while (top > mark) { top -= 1; restore(trail(top)) }
 
-  /** Calls `fn` on every node removed since `mark`. */
-  def foreachRemovedSince(mark: Int)(fn: Int => Unit): Unit = {
-    var i = mark
-    while (i < top) { if (trail(i) < 0) fn(~trail(i)); i += 1 }
-  }
-
   protected def push(entry: Int): Unit = { trail(top) = entry; top += 1 }
 
-  /** Takes `u` out of the structure and pushes its removal. */
-  protected def dropNode(u: Int): Unit = { in(u) = false; alive -= u; push(~u) }
+  /** Takes `u` out of the structure and pushes its removal; stops a bounded
+    * deletion when `u` is above its limit.
+    */
+  protected def dropNode(u: Int): Unit = {
+    in(u) = false; alive -= u; size -= 1; push(~u)
+    if (stopAt != null && stopAt(u) > limit) stopped = true
+  }
 
   /** Puts `u` back into the structure. */
-  protected def addNode(u: Int): Unit = { in(u) = true; alive += u }
+  protected def addNode(u: Int): Unit = { in(u) = true; alive += u; size += 1 }
 
   /** Reverts one trail entry. */
   protected def restore(entry: Int): Unit
@@ -122,11 +142,14 @@ abstract class Peel(val g: LocalGraph, val q: Int, trailCapacity: Int) {
   /** Removes `u` from the structure, queueing what may have to follow. */
   protected def removeNode(u: Int): Unit
 
-  /** Peels what the last removals left below the model's threshold. */
+  /** Peels what the last removals left below the model's threshold, until
+    * done or `stopped`; leaves the queue empty either way.
+    */
   protected def cascade(): Unit
 
   /** Drops every node outside q's component, and everything once q is gone;
-    * nothing with no query node. Removing a whole component changes no
+    * nothing with no query node. The BFS from q ends once it has reached
+    * every node of the structure. Removing a whole component changes no
     * degree or support inside q's.
     */
   private def settle(): Unit = if (q >= 0) {
@@ -135,7 +158,7 @@ abstract class Peel(val g: LocalGraph, val q: Int, trailCapacity: Int) {
       epoch += 1
       seen(q) = epoch; queue(0) = q; reached = 1
       var head = 0
-      while (head < reached) {
+      while (head < reached && reached < size) {
         val u = queue(head); head += 1
         val a = g.adj(u); var j = 0
         while (j < a.length) {
@@ -147,11 +170,11 @@ abstract class Peel(val g: LocalGraph, val q: Int, trailCapacity: Int) {
         }
       }
     }
-    if (reached < alive.size) {
+    if (reached < size) {
       var c = 0
       alive.foreach(u => if (reached == 0 || seen(u) != epoch) { queue(c) = u; c += 1 })
       var i = 0
-      while (i < c) { if (in(queue(i))) removeNode(queue(i)); i += 1 }
+      while (i < c && !stopped) { if (in(queue(i))) removeNode(queue(i)); i += 1 }
       cascade() // touches no live node: it only drains what the drop queued
     }
   }
@@ -161,6 +184,7 @@ abstract class Peel(val g: LocalGraph, val q: Int, trailCapacity: Int) {
     */
   protected def build(): Unit = {
     alive.foreach(in(_) = true)
+    size = alive.size
     cascade()
     settle()
     top = 0
@@ -213,8 +237,10 @@ final case class CoreModel(k: Int) extends CohesionModel {
       }
     }
 
-    override protected def cascade(): Unit =
-      while (pend > 0) { pend -= 1; val u = pending(pend); if (in(u)) removeNode(u) }
+    override protected def cascade(): Unit = {
+      while (pend > 0 && !stopped) { pend -= 1; val u = pending(pend); if (in(u)) removeNode(u) }
+      pend = 0
+    }
 
     override protected def restore(entry: Int): Unit = {
       val u = ~entry
@@ -328,8 +354,10 @@ final case class TrussModel(k: Int) extends CohesionModel {
       while (j < ids.length) { if (live(ids(j))) removeEdge(ids(j)); j += 1 }
     }
 
-    override protected def cascade(): Unit =
-      while (pend > 0) { pend -= 1; val e = pending(pend); if (live(e)) removeEdge(e) }
+    override protected def cascade(): Unit = {
+      while (pend > 0 && !stopped) { pend -= 1; val e = pending(pend); if (live(e)) removeEdge(e) }
+      pend = 0
+    }
 
     override protected def restore(entry: Int): Unit =
       if (entry < 0) addNode(~entry)

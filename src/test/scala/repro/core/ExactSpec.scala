@@ -173,6 +173,10 @@ class ExactSpec extends AnyFunSuite {
       objective = Some(obj))
     val rDefault = ExactCSAG.run(lg, 0, f, new CoreModel(2), ExactCSAG.Pruning.OnlyP1)
     assert(r.community.size <= rDefault.community.size)
+    // P2 and P3 bound δ, not another objective.
+    Seq(ExactCSAG.Pruning.NoP3, ExactCSAG.Pruning(p2 = false)).foreach { p =>
+      assertThrows[IllegalArgumentException](ExactCSAG.run(lg, 0, f, new CoreModel(2), p, objective = Some(obj)))
+    }
   }
 
   // ---- deep search trees ---------------------------------------------------
@@ -254,5 +258,30 @@ class ExactSpec extends AnyFunSuite {
     assert(outcome(ExactCSAG.run(lg, 0, f, CoreModel(3), Pruning.OnlyP1, 4000,
       accept = Some(a => a.size >= 6 && a.size <= 8))) ===
       (Set(0L, 3L, 4L, 5L, 8L, 11L), 0.3470057461877813, 4000L, true))
+  }
+
+  // Recorded before the search stopped a P1 duplicate inside the peel's
+  // cascade. The 14-node pins above stop after 4000 states; these run a
+  // maximal 6-core of all 46 nodes (366 edges, facebook-lite's size) and its
+  // 5-truss to the cap, so cascades that are cut deep in the tree count.
+  test("Exact output is pinned on a 46-node structure that caps") {
+    val lg = TestGraphs.randomLocal(46, 0.33, 47)
+    val f = lg.distancesTo(0, 0.5)
+    val pinned = Seq(
+    (CoreModel(6), Pruning.All, (Set(0L, 4L, 6L, 8L, 10L, 13L, 14L, 16L, 17L, 19L, 21L, 24L, 25L, 34L, 39L, 40L),
+      0.39013942221979986, 100000L, true)),
+    (CoreModel(6), Pruning.OnlyP1, (Set(0L, 3L, 4L, 8L, 10L, 14L, 15L, 16L, 17L, 19L, 24L, 25L, 30L, 34L, 39L, 40L),
+      0.39046954936112777, 100000L, true)),
+    (TrussModel(5), Pruning.All, (Set(0L, 4L, 6L, 8L, 10L, 13L, 14L, 16L, 17L, 19L, 24L, 25L, 30L, 34L, 39L, 40L, 42L),
+      0.40217494834282075, 100000L, true)),
+    (TrussModel(5), Pruning.OnlyP1, (Set(0L, 4L, 6L, 8L, 10L, 13L, 14L, 16L, 17L, 19L, 24L, 25L, 30L, 34L, 39L, 40L, 42L),
+      0.40217494834282075, 100000L, true)),
+    )
+    assert(CoreModel(6).maximal(lg, lg.allAlive, 0).size === 46)
+    assert(TrussModel(5).maximal(lg, lg.allAlive, 0).size === 45)
+    pinned.foreach { case (model, pruning, expected) =>
+      val r = ExactCSAG.run(lg, 0, f, model, pruning, stateCap = 100000)
+      assert(outcome(r) === expected, s"$model $pruning")
+    }
   }
 }

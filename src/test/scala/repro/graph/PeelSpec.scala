@@ -9,14 +9,22 @@ class PeelSpec extends AnyFunSuite {
 
   private val models = Seq(CoreModel(2), CoreModel(3), TrussModel(3), TrussModel(4))
 
+  // Half the deletions are bounded by f of a random node of the structure:
+  // deleteUpTo must finish exactly when the unbounded delete removes no node
+  // above the bound. A stopped call is undone and followed by a plain delete
+  // of another random node, which a stale entry in the cascade's queue would
+  // corrupt.
   test("random delete/undo sequences equal the from-scratch structure after every step") {
     models.foreach { model =>
       val oracle = FromScratch.of(model)
       var empties = 0 // deletions that emptied the structure
+      var finished = 0 // bounded deletions that finished
+      var stopped = 0 // and that stopped
       (1 to 30).foreach { seed =>
         val rnd = new Random(seed)
         val lg = TestGraphs.randomLocal(10 + rnd.nextInt(20), 0.15 + 0.35 * rnd.nextDouble(), seed)
         val q = rnd.nextInt(lg.n)
+        val f = Array.fill(lg.n)(rnd.nextDouble())
         // Every other run starts from a random subset, as SEA's sample does.
         val start =
           if (seed % 2 == 0) lg.allAlive
@@ -33,11 +41,25 @@ class PeelSpec extends AnyFunSuite {
             val before = peel.alive.clone()
             val v = before.toSeq(rnd.nextInt(before.size)) // q included
             val mark = peel.mark
-            peel.delete(v)
-            assert(peel.alive === oracle(lg, before.clone() -= v, q), at)
-            val removed = mutable.BitSet.empty
-            peel.foreachRemovedSince(mark)(removed += _)
-            assert(removed === (before &~ peel.alive), at)
+            val bounded = rnd.nextBoolean()
+            val limit = f(before.toSeq(rnd.nextInt(before.size)))
+            val after = oracle(lg, before.clone() -= v, q)
+            if (!bounded) {
+              peel.delete(v)
+              assert(peel.alive === after, at)
+            } else if (peel.deleteUpTo(v, f, limit)) {
+              assert((before &~ after).forall(f(_) <= limit), s"$at: finished past a node above $limit")
+              assert(peel.alive === after, at)
+              finished += 1
+            } else {
+              assert((before &~ after).exists(f(_) > limit), s"$at: stopped, but no node is above $limit")
+              stopped += 1
+              peel.undo(mark)
+              assert(peel.alive === before, s"$at: undo after a stop")
+              val w = before.toSeq(rnd.nextInt(before.size))
+              peel.delete(w)
+              assert(peel.alive === oracle(lg, before.clone() -= w, q), s"$at: delete $w after a stop")
+            }
             if (peel.alive.isEmpty) empties += 1
             history.push((mark, before))
           } else {
@@ -51,6 +73,7 @@ class PeelSpec extends AnyFunSuite {
         assert(peel.alive === initial, s"$model seed=$seed: full undo")
       }
       assert(empties > 0, s"$model: no deletion emptied the structure")
+      assert(finished > 0 && stopped > 0, s"$model: $finished bounded deletions finished, $stopped stopped")
     }
   }
 
