@@ -12,14 +12,14 @@ import repro.synthgraph.Datasets
   *
   * Every method is timed end to end per query. SEA pays its whole
   * sampling-estimation pipeline. Exact and the comparison baselines pay the
-  * fetch of q's maximal connected k-core/k-truss (one Spark job and a driver
-  * BFS over the fetched component) plus their driver-side search; the
-  * distributed k-core/k-truss peel and the labelling of its components do
-  * not depend on q, so they run once per graph and model
-  * ([[AttributedGraph.peelIndex]]). SEA's BFS looks its layers up in the
-  * graph's node store ([[AttributedGraph.nodeStore]]), built once per graph.
-  * The tables build the index and the store before their timed queries, and
-  * Table V reports their build times on their own.
+  * walk that collects q's maximal connected k-core/k-truss (one Spark job on
+  * a lite graph) plus their driver-side search; the distributed
+  * k-core/k-truss peel does not depend on q, so it runs once per graph and
+  * model ([[AttributedGraph.peelIndex]]) and keeps the peeled graph as a node
+  * store. SEA's BFS looks its layers up in the graph's own node store
+  * ([[AttributedGraph.nodeStore]]), built once per graph. The tables build
+  * the index and the store before their timed queries, and Table V reports
+  * their build times on their own.
   * Exact ground truth is state-capped; the cap plays the role of the paper's
   * ">8 days" timeouts and is reported.
   */
@@ -106,7 +106,7 @@ object BenchRunner {
     * E-VAC-Core, Exact-Truss, LocATC-Truss and VAC-Truss). Each model's
     * structure and its f(·,q) column are built once per query, and their
     * time counts towards every method searched on them; the index the
-    * structure is fetched from is built once per graph.
+    * structure is walked in is built once per graph.
     * δ is scored on the graph each method searched: SEA's is its δ*, the
     * exact mean over its community, and every other method's is
     * [[AttrDistance.delta]] over q's collected structure. An empty community

@@ -159,14 +159,18 @@ object Tables {
       val model = CoreModel(p.k)
       val cores = queries.map(q => (q, model.maximalConnected(prep.g, q))).filter(_._2.n > 0)
       configs.foreach { case (label, pruning) =>
-        val runs = cores.map { case (q, lg) =>
+        def pass() = cores.map { case (q, lg) =>
           val qi = lg.indexOf(q)
-          Harness.timeMs(ExactCSAG.run(lg, qi, lg.distancesTo(qi, prep.gamma), model, pruning, cap))
+          ExactCSAG.run(lg, qi, lg.distancesTo(qi, prep.gamma), model, pruning, cap)
         }
+        // One untimed warm-up pass, then the median of 3 timed ones: a cell
+        // of a few milliseconds is otherwise mostly JIT warm-up.
+        pass()
+        val (runs, passMs) = Harness.medianMs(3)(pass())
         rows += PruningRow(label, name,
-          runs.map(_._2).sum / math.max(runs.size, 1),
-          runs.map(_._1.states.toDouble).sum / math.max(runs.size, 1),
-          runs.exists(_._1.capped))
+          passMs / math.max(runs.size, 1),
+          runs.map(_.states.toDouble).sum / math.max(runs.size, 1),
+          runs.exists(_.capped))
       }
     }
     val header = f"${"Config"}%-14s" + datasets.map(d => f"$d%26s").mkString +
@@ -187,9 +191,10 @@ object Tables {
   // =========================================================================
 
   /** `cells`: dataset -> (per-query time ms, error %). `indexMs`: dataset ->
-    * the once-per-dataset build the method's per-query times exclude: the
-    * peel and [[PeelIndex]] of its cohesion model, or for SEA, which is
-    * index-free (§V), the graph's node store, its adjacency keyed by node.
+    * the median time of the once-per-dataset build the method's per-query
+    * times exclude: the [[PeelIndex]] of its cohesion model, or for SEA,
+    * which is index-free (§V), the graph's node store, its adjacency keyed by
+    * node.
     */
   final case class HeteroRow(method: String,
       cells: Map[String, (Double, Double)], indexMs: Map[String, Double])
@@ -205,12 +210,13 @@ object Tables {
       val methods = all ++ Seq("Exact", "Exact-Truss")
       val queries = pickQueries(prep, p)
       // Each model's index and the node store are built once, ahead of the
-      // timed queries, and reported on their own: the per-query times
-      // exclude them. Each reports the time its own build took, whichever
-      // table built it first.
-      val coreIndex = prep.g.peelIndex(CoreModel(p.k)).buildMs
-      val trussIndex = prep.g.peelIndex(TrussModel(p.k)).buildMs
-      val store = prep.g.nodeStore.buildMs
+      // timed queries, which exclude them. Their build times are reported on
+      // their own, each the median of 3 further builds.
+      Seq(CoreModel(p.k), TrussModel(p.k)).foreach(prep.g.peelIndex)
+      def buildMs(build: => Any): Double = Harness.medianMs(3)(build)._2
+      val coreIndex = buildMs(PeelIndex.build(prep.g.nodeStore, CoreModel(p.k)))
+      val trussIndex = buildMs(PeelIndex.build(prep.g.nodeStore, TrussModel(p.k)))
+      val store = buildMs(PriorityBfs.NodeStore.build(prep.g))
       val evals = queries.map(q => evalQuery(prep, q, p, methods))
       val cells = all.map { m =>
         val exactKey = if (m.contains("Truss")) "Exact-Truss" else "Exact"

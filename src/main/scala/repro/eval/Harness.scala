@@ -14,6 +14,12 @@ object Harness {
     (a, (System.nanoTime() - t0) / 1e6)
   }
 
+  /** `body` run `reps` times: the last result and the median time. */
+  def medianMs[A](reps: Int)(body: => A): (A, Double) = {
+    val runs = Seq.fill(reps)(timeMs(body))
+    (runs.last._1, runs.map(_._2).sorted.apply(reps / 2))
+  }
+
   /** Random query nodes that actually live in some connected k-core — the
     * paper's random queries are implicitly answerable; drawing coreness-≥k
     * nodes keeps every method comparable on the same workload.

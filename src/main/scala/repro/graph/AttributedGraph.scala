@@ -36,9 +36,9 @@ final case class AttributedGraph(nodes: DataFrame, edges: DataFrame) {
   private val indexes = mutable.Map.empty[CohesionModel, PeelIndex]
 
   /** `model`'s [[PeelIndex]] on this graph, built on first use in the
-    * partitions of [[nodeStore]]. Neither the peel nor the component labels
-    * depend on the query node, so every later call reuses them. Concurrent
-    * first calls wait for one build.
+    * partitions of [[nodeStore]]. The peel does not depend on the query
+    * node, so every later call reuses it. Concurrent first calls wait for
+    * one build.
     */
   def peelIndex(model: CohesionModel): PeelIndex =
     indexes.synchronized(indexes.getOrElseUpdate(model, PeelIndex.build(nodeStore, model)))

@@ -9,30 +9,25 @@ import scala.collection.mutable
   * candidate search (§V-B) and the LocATC/VAC peels use it too. On the
   * distributed graph the same peel runs once per graph inside the
   * partitions of G's node store ([[PeelIndex]]), and q's maximal connected
-  * structure (§IV-A) is fetched from the peeled graph's component index;
-  * Exact and the baselines then search it on the driver.
+  * structure (§IV-A) is walked from the peeled graph's node store; Exact and
+  * the baselines then search it on the driver.
   */
 trait CohesionModel {
 
   /** Maximal connected cohesive subgraph of `g` containing `q`, collected:
-    * the component of `q` in this model's [[PeelIndex]] on `g`, walked on the
-    * driver by the BFS that collects SEA's `G_q`, so nodes come layer by
-    * layer from `q`. The index is built once per graph and model
-    * ([[AttributedGraph.peelIndex]]), so only the first call on a graph pays
-    * the peel and the labelling; each call pays one Spark job, the fetch.
-    * The result holds only surviving edges, which suffices: for any node set
-    * A, the structure of G[A] equals that of the peeled graph restricted to
-    * A. Attributes are normalized by the whole graph's stats. Empty when `q`
-    * keeps no edge; throws `IllegalArgumentException` when `q` is not in `g`,
-    * which the fetch reads from G's node store.
+    * the walk from `q` that collects SEA's `G_q`, with no size bound, over
+    * the peeled graph this model's [[PeelIndex]] keeps as a node store
+    * ([[PeelIndex.structureOf]]), so nodes come layer by layer from `q`. The
+    * index is built once per graph and model ([[AttributedGraph.peelIndex]]),
+    * so only the first call on a graph pays the peel; each call pays the
+    * walk's fetches, one Spark job on a store of one partition. The result
+    * holds only surviving edges, which suffices: for any node set A, the
+    * structure of G[A] equals that of the peeled graph restricted to A.
+    * Attributes are normalized by the whole graph's stats. Empty when `q`
+    * keeps no edge; throws `IllegalArgumentException` when `q` is not in
+    * `g`, which the first fetch finds.
     */
-  def maximalConnected(g: AttributedGraph, q: Long): LocalGraph =
-    g.peelIndex(this).componentOf(q) match {
-      case Some(c) =>
-        val nodes = c.ids.zip(c.nodes).toMap
-        PriorityBfs.walk(_.flatMap(v => nodes.get(v).map(v -> _)), q, Long.MaxValue, gamma = 0.0)
-      case None => LocalGraph.build(Nil, Nil)
-    }
+  def maximalConnected(g: AttributedGraph, q: Long): LocalGraph = g.peelIndex(this).structureOf(q)
 
   /** q's maximal connected cohesive subgraph of `g[alive]`, maintained under
     * deletions by the returned [[Peel]]. Does not mutate `alive`.

@@ -56,31 +56,14 @@ final class LocalGraph(
   def localSet(ids: Set[Long]): mutable.BitSet =
     mutable.BitSet.fromSpecific(ids.iterator.map(indexOf))
 
-  /** Coreness of every node (local Batagelj–Zaversnik-style peel). */
+  /** Coreness of every node: the largest k whose k-core, by
+    * [[CoreModel]]'s own cascade with no query node, holds it; 0 for a node
+    * with no edge.
+    */
   def coreness(): Array[Int] = {
-    val deg = Array.tabulate(n)(adj(_).length)
     val core = new Array[Int](n)
-    val alive = allAlive
-    var k = 0
-    var remaining = n
-    val queue = mutable.Queue.empty[Int]
-    while (remaining > 0) {
-      // peel everything with degree <= k
-      (0 until n).foreach(i => if (alive(i) && deg(i) <= k) queue += i)
-      while (queue.nonEmpty) {
-        val u = queue.dequeue()
-        if (alive(u)) {
-          alive -= u; remaining -= 1; core(u) = k
-          adj(u).foreach { v =>
-            if (alive(v)) {
-              deg(v) -= 1
-              if (deg(v) <= k) queue += v
-            }
-          }
-        }
-      }
-      k += 1
-    }
+    Iterator.from(1).map(k => (k, CoreModel(k).peelAll(this, n).alive)).takeWhile(_._2.nonEmpty)
+      .foreach { case (k, structure) => structure.foreach(core(_) = k) }
     core
   }
 }

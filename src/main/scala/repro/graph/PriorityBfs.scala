@@ -17,8 +17,8 @@ import repro.core.AttrDistance
   * fetch runs the same BFS ahead inside each partition it reads, so on a
   * store of one partition a whole walk costs one Spark job; on several, a
   * fetch still serves at least one layer. With no size bound the same walk
-  * collects q's maximal connected k-core or k-truss (§IV-A, §VI-C) on the
-  * driver, over the component a [[PeelIndex]] fetched.
+  * collects q's maximal connected k-core or k-truss (§IV-A, §VI-C) from a
+  * model's peeled graph, which a [[PeelIndex]] keeps as a node store.
   */
 object PriorityBfs {
 
@@ -27,14 +27,15 @@ object PriorityBfs {
     */
   final case class Node(text: Array[String], num: Array[Double], dst: Array[Long])
 
-  /** G's adjacency keyed by node ([[AttributedGraph.nodeStore]]): the
-    * [[Node]] of every node of `G` over [[AttributedGraph.adjacency]] of all
-    * of G's edges, hash-partitioned by id, held as one cached id → [[Node]]
-    * map per partition (`nodes` has one element per partition). It is G's
-    * adjacency layout, not a structural index: it holds nothing that depends
-    * on `q`, `k` or the cohesion model. `buildMs` is the time its build took.
+  /** A graph's adjacency keyed by node: the [[Node]] of every node of `G`,
+    * hash-partitioned by id, held as one cached id → [[Node]] map per
+    * partition (`nodes` has one element per partition). Over all of G's
+    * edges it is G's adjacency layout ([[AttributedGraph.nodeStore]]), not a
+    * structural index: it holds nothing that depends on `q`, `k` or the
+    * cohesion model, so SEA stays index-free. Over the edges a model's peel
+    * keeps, in the same partitions, it is that model's [[PeelIndex]].
     */
-  final class NodeStore private (val nodes: RDD[mutable.LongMap[Node]], val buildMs: Double) {
+  final class NodeStore private (val nodes: RDD[mutable.LongMap[Node]]) {
     private val part = nodes.partitioner.get
 
     /** The records of those `ids` that are in `G`, plus a prefetch: the
@@ -55,13 +56,21 @@ object PriorityBfs {
 
   object NodeStore {
 
+    /** The store over `nodes`, one id → [[Node]] map per partition of a hash
+      * partitioner, materialized once: one Spark job.
+      */
+    private[graph] def apply(nodes: RDD[mutable.LongMap[Node]]): NodeStore = {
+      nodes.localCheckpoint()
+      nodes.count()
+      new NodeStore(nodes)
+    }
+
     /** Every node of `g` as a [[Node]], over [[AttributedGraph.adjacency]] of
       * all of G's edges, hash-partitioned by id with one partition per
       * `pairsPerPartition` pairs, at least one. Spark jobs, once `g.numStats`
       * is known: one that counts the pairs and one that builds the maps.
       */
-    private[graph] def build(g: AttributedGraph, pairsPerPartition: Long = 100000L): NodeStore = {
-      val t0 = System.nanoTime()
+    private[repro] def build(g: AttributedGraph, pairsPerPartition: Long = 100000L): NodeStore = {
       val (mins, rngs) = g.numStats
       val pairs = AttributedGraph.adjacency(g.edges)
       val part = new HashPartitioner(math.max(1, math.ceil(pairs.count().toDouble / pairsPerPartition).toInt))
@@ -72,9 +81,7 @@ object PriorityBfs {
             v -> Node(text, num, ds.toArray)
           }
         })), preservesPartitioning = true)
-      nodes.localCheckpoint()
-      nodes.count()
-      new NodeStore(nodes, (System.nanoTime() - t0) / 1e6)
+      NodeStore(nodes)
     }
   }
 
@@ -111,7 +118,7 @@ object PriorityBfs {
   def collectGq(g: AttributedGraph, q: Long, minSize: Long, gamma: Double): LocalGraph =
     walk(g.nodeStore.fetch(_, minSize), q, minSize, gamma)
 
-  /** The BFS behind [[collectGq]] and [[CohesionModel.maximalConnected]].
+  /** The BFS behind [[collectGq]] and [[PeelIndex.structureOf]].
     * `fetch(ids)` returns the [[Node]] of each of `ids` that is in the walked
     * graph, and may return the records of further nodes. The walk keeps
     * every record it was given and calls `fetch` only for the ids of a

@@ -131,27 +131,33 @@ class CohesionModelSpec extends SparkSpec {
 
   // ---- maximalConnected over the per-graph peel index ---------------------
 
-  /** The index's components as (label, node ids, edge pairs). */
-  private def indexed(index: PeelIndex): Set[(Long, Set[Long], Set[(Long, Long)])] =
-    index.components.collect().map { case (l, c) =>
-      (l, c.ids.toSet, c.ids.indices.flatMap(i => c.nodes(i).dst.map((c.ids(i), _))).toSet)
-    }.toSet
+  /** Each node's kept neighbours in the index's store. */
+  private def indexed(index: PeelIndex): Map[Long, Set[Long]] =
+    index.store.nodes.collect().flatMap(_.iterator.map { case (v, n) => v -> n.dst.toSet }).toMap
 
   /** G's own node store, and one forced to a partition per 10 adjacency pairs. */
   private def stores(g: AttributedGraph): Seq[PriorityBfs.NodeStore] =
     Seq(g.nodeStore, PriorityBfs.NodeStore.build(g, pairsPerPartition = 10))
 
-  /** The components of the graph over `peeled`, as [[indexed]] lists them. */
-  private def componentsOver(n: Int, peeled: Seq[(Long, Long)]): Set[(Long, Set[Long], Set[(Long, Long)])] = {
-    val plg = TestGraphs.local(n, peeled.map { case (a, b) => (a.toInt, b.toInt) })
-    (0 until plg.n).filter(plg.adj(_).nonEmpty)
-      .map(v => FromScratch.componentOf(plg, v, plg.allAlive).map(_.toLong).toSet).toSet
-      .map { (c: Set[Long]) =>
-        (c.min, c, peeled.filter(e => c(e._1)).flatMap(e => Seq(e, e.swap)).toSet)
-      }
+  /** The edges of `lg` that survive `model`'s peel, by the local brute-force
+    * peels, as id pairs.
+    */
+  private def brutePeel(lg: LocalGraph, model: CohesionModel): Seq[(Long, Long)] = (model match {
+    case CoreModel(k) =>
+      val core = TestGraphs.bruteCoreness(lg)
+      (0 until lg.n).flatMap(u => lg.adj(u).filter(v => u < v && core(u) >= k && core(v) >= k).map((u, _)))
+    case TrussModel(k) => TestGraphs.bruteTrussEdges(lg, k).toSeq
+  }).map { case (u, v) => (lg.ids(u), lg.ids(v)) }
+
+  /** Each of the nodes `0 until n`'s neighbours over `peeled`, as [[indexed]]
+    * lists them.
+    */
+  private def keptOver(n: Int, peeled: Seq[(Long, Long)]): Map[Long, Set[Long]] = {
+    val nbrs = peeled.flatMap(e => Seq(e, e.swap)).groupMap(_._1)(_._2)
+    (0L until n).map(v => v -> nbrs.getOrElse(v, Nil).toSet).toMap
   }
 
-  test("peelIndex: components equal the peeled graph's, labelled by their least id") {
+  test("peelIndex: each node keeps the peeled graph's edges") {
     Seq(CoreModel(3), TrussModel(4)).foreach { model =>
       (1 to 2).foreach { s =>
         // Three random blocks with no edge between them, so the peeled graph
@@ -160,15 +166,10 @@ class CohesionModelSpec extends SparkSpec {
         val lg = TestGraphs.local(42, blocks.zipWithIndex.flatMap { case (b, i) =>
           (0 until b.n).flatMap(u => b.adj(u).filter(_ > u).map(v => (14 * i + u, 14 * i + v)))
         })
-        // The peeled graph, by the local brute-force peels.
-        val peeled = model match {
-          case CoreModel(k) =>
-            val core = TestGraphs.bruteCoreness(lg)
-            (0 until lg.n).flatMap(u => lg.adj(u).filter(v => u < v && core(u) >= k && core(v) >= k).map((u, _)))
-          case TrussModel(k) => TestGraphs.bruteTrussEdges(lg, k).toSeq
-        }
-        val expected = componentsOver(lg.n, peeled.map { case (a, b) => (a.toLong, b.toLong) })
-        assert(expected.size > 1, s"$model seed=$s")
+        val expected = keptOver(lg.n, brutePeel(lg, model))
+        // Several blocks, so several components, keep an edge.
+        assert((0 until 3).count(b => (14 * b until 14 * b + 14).exists(v => expected(v.toLong).nonEmpty)) > 1,
+          s"$model seed=$s")
         val g = TestGraphs.toAttributed(spark, lg)
         stores(g).foreach { store =>
           val at = s"$model seed=$s partitions=${store.nodes.getNumPartitions}"
@@ -185,9 +186,9 @@ class CohesionModelSpec extends SparkSpec {
         val g = TestGraphs.toAttributed(spark, lg)
         val store = PriorityBfs.NodeStore.build(g, pairsPerPartition = 10)
         assert(store.nodes.getNumPartitions > 3, s"$model seed=$s")
-        val expected = componentsOver(lg.n,
+        val expected = keptOver(lg.n,
           FromScratch.peelEdges(model, g.edges).collect().map(AttributedGraph.edgePair).toSeq)
-        assert(expected.nonEmpty, s"$model seed=$s")
+        assert(expected.values.exists(_.nonEmpty), s"$model seed=$s")
         assert(indexed(PeelIndex.build(store, model)) === expected, s"$model seed=$s")
       }
     }
@@ -196,7 +197,7 @@ class CohesionModelSpec extends SparkSpec {
   test("peelIndex: a graph with no edges has no components") {
     val g = TestGraphs.toAttributed(spark, TestGraphs.local(5, Nil))
     Seq(CoreModel(1), TrussModel(2)).foreach { model =>
-      stores(g).foreach(store => assert(PeelIndex.build(store, model).components.count() === 0, model))
+      stores(g).foreach(store => assert(indexed(PeelIndex.build(store, model)) === keptOver(5, Nil), model))
       assert(model.maximalConnected(g, 0L).n === 0, model)
     }
   }
@@ -206,8 +207,8 @@ class CohesionModelSpec extends SparkSpec {
     Seq(CoreModel(4), TrussModel(5)).foreach { model =>
       stores(g).foreach { store =>
         val index = PeelIndex.build(store, model)
-        assert(index.components.count() === 0, model)
-        assert(index.componentOf(0L).isEmpty, model)
+        assert(indexed(index) === keptOver(6, Nil), model)
+        assert(index.structureOf(0L).n === 0, model)
       }
       assert(model.maximalConnected(g, 0L).n === 0, model)
     }
@@ -220,12 +221,12 @@ class CohesionModelSpec extends SparkSpec {
     val lg = TestGraphs.local(8, (for (a <- 0 until 5; b <- a + 1 until 5) yield (a, b)) ++
       Seq((4, 5), (4, 6), (5, 6), (5, 7), (6, 7)))
     val g = TestGraphs.toAttributed(spark, lg)
-    val k5 = (for (a <- 0L until 5L; b <- 0L until 5L if a != b) yield (a, b)).toSet
+    val k5 = keptOver(8, for (a <- 0L until 5L; b <- a + 1 until 5L) yield (a, b))
     val Seq(one, several) = stores(g)
     assert(several.nodes.getNumPartitions === 3)
     assert(Set(0L, 1L, 2L).map(several.nodes.partitioner.get.getPartition) === Set(0, 1, 2))
     Seq(one, several).foreach { store =>
-      assert(indexed(PeelIndex.build(store, TrussModel(4))) === Set((0L, (0L until 5L).toSet, k5)))
+      assert(indexed(PeelIndex.build(store, TrussModel(4))) === k5)
     }
     assert(TrussModel(4).maximalConnected(g, 6L).n === 0)
     assert(TrussModel(4).maximalConnected(g, 2L).ids.toSet === (0L until 5L).toSet)
@@ -233,12 +234,15 @@ class CohesionModelSpec extends SparkSpec {
 
   test("peelIndex: a 40-node path whose ids do not follow it is one component") {
     // Position i of the path holds node 13i mod 40, so every edge crosses
-    // partitions on the forced store, and the least label walks 39 hops.
+    // partitions on the forced store, and the peel and the walk from node 13
+    // span 39 hops.
     val path = (0 until 39).map(i => (13 * i % 40, 13 * (i + 1) % 40))
     val g = TestGraphs.toAttributed(spark, TestGraphs.local(40, path))
-    val pairs = path.flatMap { case (a, b) => Seq((a.toLong, b.toLong), (b.toLong, a.toLong)) }.toSet
+    val kept = keptOver(40, path.map { case (a, b) => (a.toLong, b.toLong) })
     stores(g).foreach { store =>
-      assert(indexed(PeelIndex.build(store, CoreModel(1))) === Set((0L, (0L until 40L).toSet, pairs)))
+      val index = PeelIndex.build(store, CoreModel(1))
+      assert(indexed(index) === kept)
+      assert(index.structureOf(13L).ids.toSet === (0L until 40L).toSet)
     }
   }
 
@@ -252,7 +256,7 @@ class CohesionModelSpec extends SparkSpec {
       assert(jobsOnOne === 1, model)
       assert(several.nodes.getNumPartitions > 1, model)
       val (onSeveral, jobsOnSeveral) = jobsIn(s"index-several-$model")(PeelIndex.build(several, model))
-      assert(onSeveral.exchanges >= 2, model) // at least one round of peeled edges and one of labels
+      assert(onSeveral.exchanges >= 1, model) // at least one round of peeled edges
       assert(jobsOnSeveral === onSeveral.exchanges + 1, model)
     }
   }
@@ -264,12 +268,54 @@ class CohesionModelSpec extends SparkSpec {
       val g = TestGraphs.toAttributed(spark, lg)
       model.maximalConnected(g, lg.ids(0))
       // Sized from its data, not from the 64 shuffle partitions of the suite.
-      assert(g.peelIndex(model).components.getNumPartitions === 1, model)
+      assert(g.peelIndex(model).store.nodes.getNumPartitions === 1, model)
       val fresh = AttributedGraph.adjacency(FromScratch.peelEdges(model, g.edges))
       lg.ids.foreach { q =>
         val got = model.maximalConnected(g, q)
         assert(sameGraph(got, FromScratch.componentOf(g, fresh, q)), s"$model q=$q")
         outcomes += got.n == 0
+      }
+    }
+    assert(outcomes === Set(true, false))
+  }
+
+  test("maximalConnected on a store of several partitions: the walk equals a fresh peel and BFS, for every q") {
+    // BFS depth of a walked graph from q, its node 0.
+    def depth(lg: LocalGraph): Int = {
+      val dist = Array.fill(lg.n)(-1)
+      dist(0) = 0
+      val queue = mutable.Queue(0)
+      while (queue.nonEmpty) {
+        val u = queue.dequeue()
+        lg.adj(u).foreach(w => if (dist(w) < 0) { dist(w) = dist(u) + 1; queue += w })
+      }
+      dist.max
+    }
+    // The scrambled 40-node path of the index test above; under CoreModel(1)
+    // the walk from its end 0 is 39 layers deep.
+    val path = TestGraphs.local(40, (0 until 39).map(i => (13 * i % 40, 13 * (i + 1) % 40)))
+    val cases = (1 to 2).map(s => (TestGraphs.randomLocal(30, 0.3, seed = 1000 + s), Seq(CoreModel(3), TrussModel(4)))) :+
+      ((path, Seq(CoreModel(3), TrussModel(4), CoreModel(1))))
+    var outcomes = Set.empty[Boolean] // whether q's structure was empty
+    cases.zipWithIndex.foreach { case ((lg, models), c) =>
+      val g = TestGraphs.toAttributed(spark, lg)
+      val store = PriorityBfs.NodeStore.build(g, pairsPerPartition = 10)
+      assert(store.nodes.getNumPartitions > 3)
+      models.foreach { model =>
+        val index = PeelIndex.build(store, model)
+        val fresh = spark.sparkContext.parallelize(brutePeel(lg, model).flatMap(e => Seq(e, e.swap)), 1)
+        val qs = if (model == CoreModel(1)) Seq(0L) else lg.ids.toSeq
+        qs.foreach { q =>
+          val (got, jobs) = jobsIn(s"several-$c-$model-$q")(index.structureOf(q))
+          val expected = FromScratch.componentOf(g, fresh, q)
+          assert(sameGraph(got, expected), s"$model q=$q")
+          if (expected.n == 0) assert(got.n === 0, s"$model q=$q")
+          else assert(jobs <= depth(got) + 2, s"$model q=$q")
+          outcomes += got.n == 0
+        }
+        val (e, jobs) = jobsIn(s"several-absent-$c-$model")(intercept[IllegalArgumentException](index.structureOf(99L)))
+        assert(e.getMessage.contains("99"), model)
+        assert(jobs === 1, model)
       }
     }
     assert(outcomes === Set(true, false))
@@ -282,9 +328,8 @@ class CohesionModelSpec extends SparkSpec {
     assert(entries.distinct.size === 3)
     models.zip(entries).foreach { case (m, e) => assert(g.peelIndex(m) eq e, m) }
     assert(g.peelIndex(new CoreModel(3)) eq entries.head)
-    val k4 = for (a <- 0L until 4L; b <- 0L until 4L if a != b) yield (a, b)
-    val k4Component = Set((0L, (0L until 4L).toSet, k4.toSet))
-    assert(models.map(m => indexed(g.peelIndex(m))) === Seq(k4Component, Set.empty, k4Component))
+    val k4 = keptOver(6, for (a <- 0L until 4L; b <- a + 1 until 4L) yield (a, b))
+    assert(models.map(m => indexed(g.peelIndex(m))) === Seq(k4, keptOver(6, Nil), k4))
   }
 
   test("maximalConnected: a warm call runs exactly one Spark job") {

@@ -9,7 +9,7 @@ import repro.core.AttrDistance
 /** From-scratch maximal connected structures: each call clones `alive`,
   * recomputes every degree or support and re-runs the component search.
   * Test oracles for the incremental [[Peel]]s, for the [[PeelIndex]] build
-  * and fetch, and for the [[PriorityBfs.NodeStore]] fetches.
+  * and walk, and for the [[PriorityBfs.NodeStore]] fetches.
   */
 object FromScratch {
 
